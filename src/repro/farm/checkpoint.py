@@ -11,11 +11,19 @@ own.  Checkpointing stays for recovery inside a slice — the whole
 interrupted worker restarts from the last completed frame instead of frame
 zero, bit-identically (covered by ``tests/test_farm.py``).
 
-Trace generation is the other shared cost: every shard (and the API run of
-the same demo) replays the *same* call stream, so :func:`job_trace`
-resolves it through a worker-local LRU and the store's shared trace files
+Trace generation is the other shared cost: every shard of one run replays
+the *same* call stream, so :func:`job_trace` resolves it through a
+worker-local LRU and the store's shared trace files
 (:meth:`repro.farm.store.ArtifactStore.load_trace`) instead of regenerating
-it per job.
+it per job.  Only jobs on the same profile share a trace: ``sim`` and
+``geometry`` jobs of one total length do, but ``api`` jobs measure the
+full-scale profile and never replay a simulation trace.
+
+The job's :class:`~repro.workloads.generator.GameWorkload` is built once
+per job: :func:`repro.farm.executor.run_job` builds it and hands it to
+:func:`job_trace` (which needs it only to generate a missing trace) and to
+:func:`run_api_job` / :func:`run_checkpointed`.  Each of the three builds
+its own when a direct caller passes none.
 """
 
 from __future__ import annotations
@@ -55,13 +63,19 @@ def clear_trace_cache() -> None:
     _TRACE_CACHE.clear()
 
 
-def job_trace(job: JobSpec, store: ArtifactStore | None = None) -> Trace:
+def job_trace(
+    job: JobSpec,
+    store: ArtifactStore | None = None,
+    workload: GameWorkload | None = None,
+) -> Trace:
     """The full-length timedemo ``job``'s frame slice is cut from.
 
     Resolution order: worker-local LRU → the store's shared trace file →
     generate (and publish to the store for the other workers).  A store
     that cannot be written to (full disk, read-only volume) degrades to
-    per-worker generation rather than failing the job.
+    per-worker generation rather than failing the job.  ``workload`` is
+    the job's built workload, used only to generate; without one a
+    missing trace builds its own.
     """
     key = job.trace_key()
     trace = _TRACE_CACHE.get(key)
@@ -70,7 +84,9 @@ def job_trace(job: JobSpec, store: ArtifactStore | None = None) -> Trace:
         return trace
     trace = store.load_trace(job) if store is not None else None
     if trace is None:
-        trace = build_job_workload(job).trace(frames=job.total_frames)
+        if workload is None:
+            workload = build_job_workload(job)
+        trace = workload.trace(frames=job.total_frames)
         trace = trace.materialize()
         if store is not None:
             try:
@@ -87,16 +103,19 @@ def run_api_job(
     job: JobSpec,
     store: ArtifactStore | None = None,
     trace: Trace | None = None,
+    workload: GameWorkload | None = None,
 ) -> WorkloadApiStats:
     """Collect API statistics for ``job``'s frame slice of the shared trace.
 
     API frames are analyzed with a fresh state machine per frame (see
     :meth:`repro.api.tracer.ApiTracer.frame_stats`), so a slice needs no
     fast-forward at all — just the right frames of the right timedemo.
+    ``workload`` is the job's built workload; without one it is built here.
     """
-    workload = build_job_workload(job)
+    if workload is None:
+        workload = build_job_workload(job)
     if trace is None:
-        trace = job_trace(job, store)
+        trace = job_trace(job, store, workload)
     if job.is_shard:
         frames = list(trace.frames())
         frames = frames[job.frame_offset : job.frame_offset + job.frames]
@@ -112,6 +131,7 @@ def run_checkpointed(
     on_frame=None,
     trace: Trace | None = None,
     incremental: bool = False,
+    workload: GameWorkload | None = None,
 ) -> SimulationResult:
     """Execute a sim/geometry job, checkpointing every N completed frames.
 
@@ -130,8 +150,11 @@ def run_checkpointed(
     recorded apply their stored contributions instead of re-simulating,
     bit-identically.  An execution strategy only — it never changes the
     job's identity, artifact key, or result.
+
+    ``workload`` is the job's built workload; without one it is built here.
     """
-    workload = build_job_workload(job)
+    if workload is None:
+        workload = build_job_workload(job)
     checkpointing = store is not None and checkpoint_every > 0
 
     sim = store.load_checkpoint(job) if checkpointing else None
@@ -143,7 +166,7 @@ def run_checkpointed(
         result = sim.result()
     else:
         if trace is None:
-            trace = job_trace(job, store)
+            trace = job_trace(job, store, workload)
 
         def hook(simulator, frames_done: int) -> None:
             if (

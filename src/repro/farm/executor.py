@@ -78,7 +78,12 @@ from typing import Any, Callable
 
 from repro import observe
 from repro.farm import faults
-from repro.farm.checkpoint import job_trace, run_api_job, run_checkpointed
+from repro.farm.checkpoint import (
+    build_job_workload,
+    job_trace,
+    run_api_job,
+    run_checkpointed,
+)
 from repro.farm.invariants import validate_result
 from repro.farm.job import JobSpec
 from repro.farm.locks import backoff_delay
@@ -170,9 +175,11 @@ def run_job(
 
     Probes the cache first so retried or restarted workers never redo
     finished work, and persists the artifact before returning so the result
-    survives a parent crash.  The timedemo is resolved through the shared
-    trace store / worker-local cache (:func:`repro.farm.checkpoint
-    .job_trace`), so it is generated once per demo, not once per shard.
+    survives a parent crash.  A fresh job builds its workload once and
+    passes it to trace resolution and to the run.  The timedemo is
+    resolved through the shared trace store / worker-local cache
+    (:func:`repro.farm.checkpoint.job_trace`), so it is generated once per
+    demo, not once per shard.
     ``incremental=True`` routes sim/geometry replay through the draw-level
     content cache (:mod:`repro.farm.drawcache`) — bit-identical, and never
     part of the job's artifact key.  Fault-injection hooks fire here so the
@@ -198,15 +205,16 @@ def run_job(
                 return outcome
         phases: dict[str, float] = {}
         start = time.perf_counter()
-        trace = job_trace(job, store)
+        workload = build_job_workload(job)
+        trace = job_trace(job, store, workload)
         phases["trace"] = time.perf_counter() - start
         mark = time.perf_counter()
         if job.kind == "api":
-            result = run_api_job(job, store, trace=trace)
+            result = run_api_job(job, store, trace=trace, workload=workload)
         else:
             result = run_checkpointed(
                 job, store, checkpoint_every, trace=trace,
-                incremental=incremental,
+                incremental=incremental, workload=workload,
             )
         phases["simulate"] = time.perf_counter() - mark
         wall_s = time.perf_counter() - start

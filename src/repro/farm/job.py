@@ -161,10 +161,12 @@ class JobSpec:
     def trace_fingerprint(self) -> dict:
         """Invalidation surface of the generated trace itself.
 
-        Narrower than :meth:`fingerprint`: every shard of one run — and the
-        API/sim kinds that share a profile — replays the same call stream,
-        so the trace is stored once per (workload, seed, profile, length)
-        and loaded by every worker that needs any slice of it.
+        Narrower than :meth:`fingerprint`: every shard of one run replays
+        the same call stream, so the trace is stored once per (workload,
+        seed, profile, length) and loaded by every worker that needs any
+        slice of it.  ``sim`` and ``geometry`` jobs of one total length
+        share a file; ``api`` jobs use the full-scale profile
+        (:attr:`sim_profile` is False), so they never share one with them.
         """
         from repro.workloads.registry import workload as lookup
 

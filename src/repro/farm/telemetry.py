@@ -48,7 +48,8 @@ class FarmTelemetry:
 
     def add_phase(self, phase: str, seconds: float) -> None:
         """Accumulate seconds for an execution phase: ``spawn`` (pool
-        creation), ``trace`` (timedemo generation/parse), ``simulate``
+        creation), ``trace`` (the job's one workload build plus timedemo
+        resolution: worker cache, trace store or generation), ``simulate``
         (pipeline work), ``harvest`` (store reload + validation), ``merge``
         (shard assembly)."""
         self.registry.counter(PHASE_PREFIX + phase).inc(seconds)

@@ -330,6 +330,140 @@ def character_mesh(
     )
 
 
+#: A side quad's two triangles over its corners ``v, u, u', v'`` (the
+#: primed corners pushed along the light): ``(v, u, u')`` and ``(v, u', v')``.
+_SIDE_QUAD = np.array([0, 1, 2, 0, 2, 3], dtype=np.int64)
+
+
+def _weld_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-occurrence index and inverse of each distinct ``(n, 3)`` row.
+
+    Equals ``np.unique(keys, axis=0, return_index=True,
+    return_inverse=True)[1:]`` — distinct rows numbered in lexicographic
+    order, each represented by its first occurrence — from one stable
+    lexsort, without ``np.unique``'s per-call structured-dtype cost.
+    """
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    ordered = keys[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+class ShadowCaster:
+    """The light-independent half of shadow-volume extrusion for one mesh.
+
+    Welds vertices by position, assembles triangles and computes face
+    normals and undirected edge ids once; :meth:`extrude` then builds the
+    volume for any light with array operations.  A scene extrudes each
+    caster mesh once per placed instance and room light, so it builds one
+    caster per mesh and reuses it.
+    """
+
+    def __init__(self, mesh: Mesh):
+        tris = mesh.triangles()
+        if tris.shape[0] == 0:
+            raise ValueError("mesh has no triangles")
+        self.name = mesh.name
+        self.index_size_bytes = mesh.index_size_bytes
+        # Weld vertices by quantized position so edge adjacency is watertight.
+        keys = np.round(mesh.positions * 4096.0).astype(np.int64)
+        weld = _weld_rows(keys)[1]
+        self.tris = weld[tris]
+        # Representative position per weld id.
+        self.rep = np.zeros((weld.max() + 1, 3))
+        self.rep[weld] = mesh.positions
+
+        p0 = mesh.positions[tris[:, 0]]
+        e1 = mesh.positions[tris[:, 1]] - p0
+        e2 = mesh.positions[tris[:, 2]] - p0
+        self.face_normals = np.cross(e1, e2)
+
+        a, b, c = self.tris.T
+        # Degenerate stitching triangles take no part in edge adjacency;
+        # the caps leave out only those whose first two corners weld.
+        self.solid = (a != b) & (b != c) & (a != c)
+        self.capped = a != b
+        # Directed edges (a, b), (b, c), (c, a) of every triangle and the
+        # undirected edge each one lies on.
+        self.heads = self.tris[:, [1, 2, 0]]
+        lo = np.minimum(self.tris, self.heads)
+        hi = np.maximum(self.tris, self.heads)
+        _, edge_ids = np.unique(lo * self.rep.shape[0] + hi, return_inverse=True)
+        self.edge_ids = edge_ids.reshape(-1, 3)
+        self.edge_count = int(self.edge_ids.max()) + 1
+
+    def extrude(
+        self, light_dir, extrusion: float = 200.0, name: str | None = None
+    ) -> Mesh:
+        """The closed z-fail shadow volume of this caster along ``light_dir``.
+
+        Vertices are emitted side quads first, in the order their edge
+        first appears among lit triangles, then each lit triangle's front
+        and back cap; the weld keeps each position's first occurrence.
+        """
+        light = np.asarray(light_dir, dtype=np.float64)
+        norm = np.linalg.norm(light)
+        if norm == 0.0:
+            raise ValueError("light_dir must be non-zero")
+        light = light / norm
+        # A face "faces the light" when the light arrives against its normal.
+        lit = (self.face_normals @ light) < 0.0
+
+        # A silhouette edge separates a light-facing triangle from a
+        # back-facing one (or is an open boundary of a light-facing triangle).
+        front = lit & self.solid
+        lit_edges = self.edge_ids[front].ravel()
+        lit_count = np.bincount(lit_edges, minlength=self.edge_count)
+        unlit_count = np.bincount(
+            self.edge_ids[~lit & self.solid].ravel(), minlength=self.edge_count
+        )
+        silhouette = (lit_count == 1) & (unlit_count != 2)
+        on_silhouette = silhouette[lit_edges]
+        tails = self.tris[front].ravel()[on_silhouette]
+        heads = self.heads[front].ravel()[on_silhouette]
+
+        offset = light * extrusion
+        # The directed edge (u -> v) belongs to a lit (front cap) face; the
+        # side quad must traverse it the opposite way (v -> u) so the volume
+        # closes with consistent outward winding.
+        pu, pv = self.rep[tails], self.rep[heads]
+        sides = np.stack((pv, pu, pu + offset, pv + offset), axis=1)
+        pa, pb, pc = (
+            self.rep[corner] for corner in self.tris[lit & self.capped].T
+        )
+        # Front cap, then the back cap: extruded, winding flipped.
+        caps = np.stack(
+            (pa, pb, pc, pc + offset, pb + offset, pa + offset), axis=1
+        )
+        positions = np.concatenate((sides.reshape(-1, 3), caps.reshape(-1, 3)))
+        side_count = tails.size
+        indices = np.concatenate(
+            (
+                (4 * np.arange(side_count)[:, None] + _SIDE_QUAD).ravel(),
+                np.arange(4 * side_count, positions.shape[0]),
+            )
+        )
+
+        # Weld duplicate vertices so the volume is indexed like real engine
+        # volumes are — silhouette/cap vertices are shared, which matters for
+        # the post-transform vertex cache statistics.
+        first_ids, inverse = _weld_rows(
+            np.round(positions * 1024.0).astype(np.int64)
+        )
+        welded_positions = positions[first_ids]
+        return Mesh(
+            name=name or f"{self.name}.shadow",
+            positions=welded_positions,
+            indices=inverse[indices].astype(np.int32),
+            uvs=np.zeros((welded_positions.shape[0], 2)),
+            index_size_bytes=self.index_size_bytes,
+        )
+
+
 def extrude_shadow_volume(
     mesh: Mesh,
     light_dir,
@@ -342,94 +476,8 @@ def extrude_shadow_volume(
     faces pushed along the light and flipped) and side quads along the
     silhouette (edges between a light-facing and a back-facing triangle).
     Duplicate vertices are welded by position so non-indexed-shared meshes
-    still produce watertight silhouettes.
+    still produce watertight silhouettes.  To extrude one mesh for several
+    lights, build its :class:`ShadowCaster` once and call
+    :meth:`ShadowCaster.extrude` per light.
     """
-    light = np.asarray(light_dir, dtype=np.float64)
-    norm = np.linalg.norm(light)
-    if norm == 0.0:
-        raise ValueError("light_dir must be non-zero")
-    light = light / norm
-
-    tris = mesh.triangles()
-    if tris.shape[0] == 0:
-        raise ValueError("mesh has no triangles")
-    # Weld vertices by quantized position so edge adjacency is watertight.
-    keys = np.round(mesh.positions * 4096.0).astype(np.int64)
-    _, weld = np.unique(keys, axis=0, return_inverse=True)
-    wtris = weld[tris]
-
-    p0 = mesh.positions[tris[:, 0]]
-    e1 = mesh.positions[tris[:, 1]] - p0
-    e2 = mesh.positions[tris[:, 2]] - p0
-    face_normals = np.cross(e1, e2)
-    # A face "faces the light" when the light arrives against its normal.
-    lit = (face_normals @ light) < 0.0
-
-    # A silhouette edge separates a light-facing triangle from a
-    # back-facing one (or is an open boundary of a light-facing triangle).
-    lit_count: dict[tuple[int, int], int] = {}
-    unlit_count: dict[tuple[int, int], int] = {}
-    directed_lit: dict[tuple[int, int], tuple[int, int]] = {}
-    for t in range(wtris.shape[0]):
-        a, b, c = (int(v) for v in wtris[t])
-        if a == b or b == c or a == c:
-            continue  # degenerate stitching triangle
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            if lit[t]:
-                lit_count[key] = lit_count.get(key, 0) + 1
-                directed_lit[key] = (u, v)
-            else:
-                unlit_count[key] = unlit_count.get(key, 0) + 1
-    sil_edges = [
-        directed
-        for key, directed in directed_lit.items()
-        if lit_count[key] == 1 and unlit_count.get(key, 0) != 2
-    ]
-
-    # Representative position per weld id.
-    rep = np.zeros((weld.max() + 1, 3))
-    rep[weld] = mesh.positions
-    offset = light * extrusion
-
-    positions: list[np.ndarray] = []
-    indices: list[int] = []
-
-    def emit(p: np.ndarray) -> int:
-        positions.append(p)
-        return len(positions) - 1
-
-    for u, v in sil_edges:
-        # The directed edge (u -> v) belongs to a lit (front cap) face; the
-        # side quad must traverse it the opposite way (v -> u) so the volume
-        # closes with consistent outward winding.
-        pu, pv = rep[u], rep[v]
-        i0 = emit(pv)
-        i1 = emit(pu)
-        i2 = emit(pu + offset)
-        i3 = emit(pv + offset)
-        indices.extend((i0, i1, i2, i0, i2, i3))
-    lit_tris = wtris[lit & (wtris[:, 0] != wtris[:, 1])]
-    for a, b, c in lit_tris:
-        pa, pb, pc = rep[int(a)], rep[int(b)], rep[int(c)]
-        indices.extend((emit(pa), emit(pb), emit(pc)))  # front cap
-        # Back cap: extruded, winding flipped.
-        indices.extend((emit(pc + offset), emit(pb + offset), emit(pa + offset)))
-
-    # Weld duplicate vertices so the volume is indexed like real engine
-    # volumes are — silhouette/cap vertices are shared, which matters for
-    # the post-transform vertex cache statistics.
-    pos_arr = np.asarray(positions)
-    keys2 = np.round(pos_arr * 1024.0).astype(np.int64)
-    _, first_ids, inverse = np.unique(
-        keys2, axis=0, return_index=True, return_inverse=True
-    )
-    welded_positions = pos_arr[first_ids]
-    welded_indices = inverse[np.asarray(indices, dtype=np.int64)]
-    return Mesh(
-        name=name or f"{mesh.name}.shadow",
-        positions=welded_positions,
-        indices=welded_indices.astype(np.int32),
-        uvs=np.zeros((welded_positions.shape[0], 2)),
-        index_size_bytes=mesh.index_size_bytes,
-    )
+    return ShadowCaster(mesh).extrude(light_dir, extrusion, name)

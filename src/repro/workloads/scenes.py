@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.generators import (
+    ShadowCaster,
     box_mesh,
     character_mesh,
     cylinder_mesh,
-    extrude_shadow_volume,
     grid_mesh,
     room_mesh,
     terrain_mesh,
@@ -240,6 +240,9 @@ def build_corridor_scene(
         )
         scene.meshes[pillar_mesh.name] = pillar_mesh
 
+    # Light-independent extrusion state, built once per caster mesh.
+    shadow_casters: dict[str, ShadowCaster] = {}
+
     for r in range(params.rooms):
         room_z = -(r + 0.5) * length
         light_positions = room_light_positions(params, r)
@@ -269,6 +272,9 @@ def build_corridor_scene(
                 caster=with_shadow_volumes and caster,
             )
             if obj.caster:
+                shadow = shadow_casters.get(mesh.name)
+                if shadow is None:
+                    shadow = shadow_casters[mesh.name] = ShadowCaster(mesh)
                 volume_names: list[str] = []
                 for li, light_pos in enumerate(light_positions):
                     light_dir_world = center_w - light_pos
@@ -285,8 +291,7 @@ def build_corridor_scene(
                         floor_travel = (center_w[1] + 0.3) / -dir_unit[1]
                         extrusion = min(extrusion, floor_travel)
                     light_dir_local = model[:3, :3].T @ light_dir_world
-                    volume = extrude_shadow_volume(
-                        mesh,
+                    volume = shadow.extrude(
                         light_dir_local,
                         extrusion=extrusion,
                         name=f"{mesh.name}.vol.r{r}{tag}l{li}",

@@ -161,6 +161,46 @@ class TestFarmExecution:
         assert len(farm.telemetry.records) == 1
 
 
+class TestWorkloadBuilds:
+    """A fresh job builds its workload once; a stored job builds none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.farm.checkpoint import clear_trace_cache
+        from repro.workloads.generator import GameWorkload
+
+        calls: list[str] = []
+        original = GameWorkload.__init__
+
+        def counting_init(self, spec, sim=False):
+            calls.append(spec.name)
+            original(self, spec, sim=sim)
+
+        monkeypatch.setattr(GameWorkload, "__init__", counting_init)
+        # An empty worker-local trace cache, so every fresh job generates.
+        clear_trace_cache()
+        yield calls
+        clear_trace_cache()
+
+    @pytest.mark.parametrize(
+        "job",
+        [api_job(WORKLOAD, 1), sim_job(WORKLOAD, 1), sim_job(WORKLOAD, 2).shard(2)[1]],
+        ids=["api", "sim", "sim-shard"],
+    )
+    def test_fresh_job_builds_once(self, tmp_path, builds, job):
+        outcome = run_job(job, str(tmp_path))
+        assert not outcome.from_cache
+        assert builds == [WORKLOAD]
+
+    def test_stored_job_builds_nothing(self, tmp_path, builds):
+        job = api_job(WORKLOAD, 1)
+        run_job(job, str(tmp_path))
+        builds.clear()
+        outcome = run_job(job, str(tmp_path))
+        assert outcome.from_cache
+        assert builds == []
+
+
 # -- checkpoint / resume ----------------------------------------------------
 
 
