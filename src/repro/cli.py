@@ -412,20 +412,15 @@ def _cmd_bench(args) -> int:
         repeats=args.repeats,
         incremental_frames=args.incremental_frames,
         include_incremental=args.incremental is not False,
-        threads=args.threads,
     )
     out = write_bench(doc, args.out)
     speedup = doc["speedup"]["fragments_per_s"]
-    fused_speedup = doc["speedup"]["fused_fragments_per_s"]
+    identical = doc["quadstream"]["identical"]
     print(
         f"wrote {out}: QuadStream {speedup:.2f}x fragments/s "
         f"({doc['quadstream']['seconds']}s vs "
-        f"{doc['per_triangle']['seconds']}s per-triangle)"
-    )
-    print(
-        f"fused: {fused_speedup:.2f}x fragments/s "
-        f"({doc['fused']['seconds']}s, threads={doc['fused']['threads']}, "
-        f"identical={doc['fused']['identical']})"
+        f"{doc['per_triangle']['seconds']}s per-triangle, "
+        f"identical={identical})"
     )
     if "farm" in doc:
         farm = doc["farm"]
@@ -473,24 +468,17 @@ def _cmd_bench(args) -> int:
             file=sys.stderr,
         )
         failed = True
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"FAIL: speedup {speedup:.2f}x below required "
-            f"{args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    if args.min_fused_speedup is not None:
-        if not doc["fused"]["identical"]:
+    if args.min_speedup is not None:
+        if not identical:
             print(
-                "FAIL: fused path diverged from the per-triangle reference",
+                "FAIL: QuadStream diverged from the per-triangle reference",
                 file=sys.stderr,
             )
             failed = True
-        if fused_speedup < args.min_fused_speedup:
+        if speedup < args.min_speedup:
             print(
-                f"FAIL: fused speedup {fused_speedup:.2f}x below required "
-                f"{args.min_fused_speedup:.2f}x",
+                f"FAIL: speedup {speedup:.2f}x below required "
+                f"{args.min_speedup:.2f}x",
                 file=sys.stderr,
             )
             failed = True
@@ -534,29 +522,26 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_microbench(args) -> int:
-    """GPUBench-style scenario benches plus fused-kernel wall timings."""
+    """GPUBench-style scenario benches: simulated events per cycle."""
     from repro.gpu.config import GpuConfig
-    from repro.microbench import ALL_MICROBENCHES, FUSED_MICROBENCHES
+    from repro.microbench import ALL_MICROBENCHES
 
-    registry = {**ALL_MICROBENCHES, **FUSED_MICROBENCHES}
-    names = args.only or list(registry)
-    unknown = [name for name in names if name not in registry]
+    names = args.only or list(ALL_MICROBENCHES)
+    unknown = [name for name in names if name not in ALL_MICROBENCHES]
     if unknown:
         print(f"unknown microbench(es): {', '.join(unknown)}", file=sys.stderr)
         return 2
     config = GpuConfig(width=args.width, height=args.height)
     print(
         f"{'bench':<22} {'metric':<20} {'events':>10} {'ev/cycle':>9} "
-        f"{'bottleneck':<12} {'seconds':>8} {'ev/s':>12}"
+        "bottleneck"
     )
     for name in names:
-        r = registry[name](config)
-        seconds = f"{r.seconds:.4f}" if r.seconds else "-"
-        rate = f"{r.events_per_second:,.0f}" if r.seconds else "-"
+        r = ALL_MICROBENCHES[name](config)
         per_cycle = f"{r.events_per_cycle:.2f}" if r.cycles_per_frame else "-"
         print(
             f"{r.name:<22} {r.metric:<20} {r.events:>10,} {per_cycle:>9} "
-            f"{r.bottleneck:<12} {seconds:>8} {rate:>12}"
+            f"{r.bottleneck}"
         )
     return 0
 
@@ -964,25 +949,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="BENCH_pipeline.json")
     p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="tile-band worker threads for the fused path measurement "
-        "(results are bit-identical at any count)",
-    )
-    p.add_argument(
         "--min-speedup",
         type=float,
         default=None,
         help="fail (exit 1) if QuadStream fragments/s falls below this "
-        "multiple of the per-triangle path",
-    )
-    p.add_argument(
-        "--min-fused-speedup",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the fused path's fragments/s falls below "
-        "this multiple of the per-triangle path (or diverges from it)",
+        "multiple of the per-triangle path (or diverges from it)",
     )
     p.add_argument(
         "--min-farm-speedup",
@@ -1016,14 +987,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "microbench",
-        help="GPUBench-style stage microbenchmarks + fused-kernel timings",
+        help="GPUBench-style stage microbenchmarks",
     )
     p.add_argument("--width", type=int, default=256)
     p.add_argument("--height", type=int, default=192)
     p.add_argument(
         "--only",
         nargs="*",
-        help="subset, e.g. fill_rate arena_fill fused_zstencil_pass",
+        help="subset, e.g. fill_rate zstencil_rate",
     )
     p.set_defaults(func=_cmd_microbench)
 

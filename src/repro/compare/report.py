@@ -20,9 +20,7 @@ HISTORY_KEYS = {
     "pipeline": (
         "per_triangle.fragments_per_s",
         "quadstream.fragments_per_s",
-        "fused.fragments_per_s",
         "speedup.fragments_per_s",
-        "speedup.fused_fragments_per_s",
         "incremental.speedup",
         "observer.overhead_pct",
         "farm.serial.seconds",

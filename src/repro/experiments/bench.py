@@ -6,8 +6,9 @@ measurements:
 * **pipeline** — one workload's full-profile trace replayed through the
   default Table II machine (:meth:`GpuConfig.r520`) with the per-triangle
   reference path and with the draw-level QuadStream path.  Both produce
-  bit-identical statistics, so the triangles/s and fragments/s ratios are a
-  pure execution-strategy speedup.
+  bit-identical statistics (``quadstream.identical`` records the check),
+  so the triangles/s and fragments/s ratios are a pure execution-strategy
+  speedup.
 * **incremental** — one sim-profile timedemo replayed three ways: full
   re-simulation, cold incremental (empty draw cache), and warm incremental
   (every unchanged frame reused from the per-draw content-addressed
@@ -35,6 +36,7 @@ from typing import Sequence
 
 from repro.gpu.config import GpuConfig
 from repro.observe import spans as obs_spans
+from repro.observe.export import top_spans
 from repro.workloads import build_workload
 
 #: Default benchmark workload (the paper's lead Direct3D→OpenGL exhibit).
@@ -46,8 +48,6 @@ def _run_pipeline(
     vectorized: bool,
     frames: int,
     repeats: int = 1,
-    fused: bool = False,
-    threads: int = 1,
 ) -> tuple[dict, dict]:
     """Time one path; with ``repeats`` > 1, keep the fastest run.
 
@@ -59,16 +59,16 @@ def _run_pipeline(
     path-independent result fingerprint (per-frame counters, cache
     hit/miss/access triples, framebuffer digest) used to assert the
     execution strategies are bit-identical before their timings are
-    compared.  Memory *byte* totals are deliberately absent: the fused
-    path samples z-block compressibility at chunk rather than draw
-    granularity (see :mod:`repro.gpu.fused`).
+    compared.  Memory *byte* totals are deliberately absent: QuadStream
+    probes z-block compressibility against end-of-draw rather than
+    mid-draw z contents, which moves its Z/stencil byte totals off the
+    per-triangle reference (see
+    :meth:`repro.gpu.zstencil.ZStencilStage.account_stream`).
     """
     import hashlib
 
     workload = build_workload(name, sim=False)
-    config = dataclasses.replace(
-        GpuConfig.r520(), vectorized=vectorized, fused=fused, threads=threads
-    )
+    config = dataclasses.replace(GpuConfig.r520(), vectorized=vectorized)
     seconds = float("inf")
     result = None
     sim = None
@@ -91,9 +91,8 @@ def _run_pipeline(
         },
         "framebuffer": digest.hexdigest(),
     }
-    path = "per_triangle" if not vectorized else ("fused" if fused else "quadstream")
     measurement = {
-        "path": path,
+        "path": "quadstream" if vectorized else "per_triangle",
         "seconds": round(seconds, 3),
         "frames": stats.frames,
         "triangles": stats.triangles_traversed,
@@ -101,8 +100,6 @@ def _run_pipeline(
         "triangles_per_s": round(stats.triangles_traversed / seconds, 1),
         "fragments_per_s": round(stats.fragments_rasterized / seconds, 1),
     }
-    if fused:
-        measurement["threads"] = threads
     return measurement, identity
 
 
@@ -115,40 +112,27 @@ def _median(values: list[float]) -> float:
 
 
 def _stage_self_times(tracer) -> dict:
-    """Per-stage self-time breakdown from one traced run's span buffer.
+    """Per-span self-time breakdown of one traced run, heaviest first.
 
-    Self time is wall duration minus the summed durations of *direct*
-    children, so nested spans (run → frame → draw → stage) never double
-    count and the entries sum to the root's wall time.  Aggregated by span
-    name and reported with the share of the total traced time — the
-    profile the ``stages`` block of ``BENCH_pipeline.json`` publishes.
+    Self time is wall duration minus the direct children's (as
+    :func:`repro.observe.export.top_spans` aggregates it), so nested
+    spans (run → frame → draw → stage) never double count and the entries
+    sum to the root's wall time — the profile the ``stages`` block of
+    ``BENCH_pipeline.json`` publishes, with each name's share of the total.
     """
-    spans = tracer.spans
-    child_ns = [0] * len(spans)
-    for span in spans:
-        if span.parent >= 0 and span.t1 is not None:
-            child_ns[span.parent] += span.t1 - span.t0
-    totals: dict[str, dict] = {}
-    total_self_ns = 0
-    for index, span in enumerate(spans):
-        if span.t1 is None:
-            continue
-        self_ns = (span.t1 - span.t0) - child_ns[index]
-        entry = totals.setdefault(span.name, {"count": 0, "self_ns": 0})
-        entry["count"] += 1
-        entry["self_ns"] += self_ns
-        total_self_ns += self_ns
-    breakdown = {}
-    for name in sorted(totals, key=lambda n: -totals[n]["self_ns"]):
-        entry = totals[name]
-        breakdown[name] = {
-            "count": entry["count"],
-            "self_seconds": round(entry["self_ns"] / 1e9, 4),
-            "share_pct": round(
-                100.0 * entry["self_ns"] / total_self_ns, 1
-            ) if total_self_ns else 0.0,
+    ranked = sorted(
+        top_spans(tracer.timeline(), n=None), key=lambda agg: -agg["self_ns"]
+    )
+    total_ns = sum(agg["self_ns"] for agg in ranked)
+    return {
+        agg["name"]: {
+            "count": agg["count"],
+            "self_seconds": round(agg["self_ns"] / 1e9, 4),
+            "share_pct": round(100.0 * agg["self_ns"] / total_ns, 1)
+            if total_ns else 0.0,
         }
-    return breakdown
+        for agg in ranked
+    }
 
 
 def _run_observed(name: str, frames: int, repeats: int = 1) -> dict:
@@ -330,7 +314,6 @@ def bench_pipeline(
     repeats: int = 3,
     incremental_frames: int = 20,
     include_incremental: bool = True,
-    threads: int = 1,
 ) -> dict:
     """Run the measurements and return the ``BENCH_pipeline.json`` document."""
     if isinstance(jobs, int):
@@ -341,18 +324,7 @@ def bench_pipeline(
     quadstream, stream_identity = _run_pipeline(
         workload, vectorized=True, frames=frames, repeats=repeats
     )
-    fused, fused_identity = _run_pipeline(
-        workload,
-        vectorized=True,
-        frames=frames,
-        repeats=repeats,
-        fused=True,
-        threads=threads,
-    )
-    fused["identical"] = (
-        fused_identity == reference_identity
-        and stream_identity == reference_identity
-    )
+    quadstream["identical"] = stream_identity == reference_identity
     doc = {
         "benchmark": "pipeline",
         "machine": "GpuConfig.r520 (Table II, 1024x768)",
@@ -360,16 +332,12 @@ def bench_pipeline(
         "frames": frames,
         "per_triangle": per_triangle,
         "quadstream": quadstream,
-        "fused": fused,
         "speedup": {
             "triangles_per_s": round(
                 quadstream["triangles_per_s"] / per_triangle["triangles_per_s"], 2
             ),
             "fragments_per_s": round(
                 quadstream["fragments_per_s"] / per_triangle["fragments_per_s"], 2
-            ),
-            "fused_fragments_per_s": round(
-                fused["fragments_per_s"] / per_triangle["fragments_per_s"], 2
             ),
         },
     }

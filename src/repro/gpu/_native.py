@@ -104,7 +104,7 @@ static uint64_t part16(uint64_t x)
 }
 
 /* One set-associative LRU access (Cache.access_line with a fixed write
-   flag), shared by the fused stage kernels.  Returns 1 on hit.  On a miss
+   flag), used by the color pass below.  Returns 1 on hit.  On a miss
    the LRU victim of a full set is dropped; *evicted is set to its byte
    address when it was dirty, else left untouched. */
 static int lru_touch(i64 line, int wr, i64 *lines, uint8_t *dirty,
@@ -141,7 +141,7 @@ static int lru_touch(i64 line, int wr, i64 *lines, uint8_t *dirty,
     return 0;
 }
 
-/* Stamp-based LRU mirror for the fused texture walk below.  The reference
+/* Stamp-based LRU mirror for the texture walk below.  The reference
    model keeps each set's lines MRU-first and memmoves on every touch —
    O(ways) per access, which dominates once a frame issues tens of
    millions of texture probes.  The mirror stores a monotonically
@@ -813,196 +813,6 @@ void colorpass(const i64 *xs, const i64 *ys, const double *colors,
     counts[3] = rbytes;
     counts[4] = wbytes;
 }
-
-/* Fused early-Z pass over a frame arena chunk: HZ cull, Z/stencil
-   test-and-write, and HZ/stencil-band refresh for every (segment,
-   triangle) group of the quads listed in idx, in one sequential walk.
-   This is the per-triangle reference schedule (cull the triangle's quads
-   against the frozen HZ state, test and write each quad's lanes
-   sequentially, then refresh the touched blocks' stencil bands and — when
-   the segment writes depth — HZ extents), so every per-block operation
-   sequence matches ZStencilStage.process exactly.  Block refreshes are
-   idempotent full-tile recomputes; duplicates are skipped only when
-   consecutive.  Depth and stencil semantics mirror zstencil.py: depth
-   funcs never/less/lequal/equal(|dz| <= 1e-7)/always (NaN fails every
-   comparison); stencil funcs always/never/equal/notequal against the
-   original stencil value; ops keep/zero/replace/incr_wrap/decr_wrap with
-   numpy's nonnegative modulo; only changed stencil lanes store.  A quad
-   counts as wrote when any stencil lane changed or any lane passed a
-   depth-writing test (even writing an equal z), exactly like test_write.
-   idx lists arena quad indices in stream order — the caller may pass a
-   screen-space tile's subset; quads never span blocks and tiles never
-   split blocks, so per-tile walks are independent and bit-identical to
-   the single walk.  params is 16 i64 per segment: depth_test, depth_func,
-   depth_write, stencil_test, stencil_func, stencil_ref, stencil_write,
-   front sfail/zfail/zpass, back sfail/zfail/zpass, hz_on, hz_minmax,
-   hz_stencil.  Outputs (pass_mask/entered/wrote/schanged zeroed by the
-   caller) are indexed by arena quad; seg_counts is 4 i64 per segment:
-   hz-culled quads, fragments tested, quads tested, complete quads. */
-void zpass(const i64 *idx, i64 nidx,
-           const i64 *seg_of, const i64 *tri,
-           const i64 *qx, const i64 *qy, const uint8_t *cover,
-           const double *z, const uint8_t *front,
-           const i64 *params,
-           double *fbz, i64 zw,
-           void *stencil_v,
-           double *hz_max, double *hz_min,
-           void *hzs_min_v, void *hzs_max_v,
-           i64 block, i64 blocks_x,
-           uint8_t *pass_mask, uint8_t *entered, uint8_t *wrote,
-           uint8_t *schanged, i64 *seg_counts)
-{
-    static const i64 DX[4] = {0, 1, 0, 1};
-    static const i64 DY[4] = {0, 0, 1, 1};
-    int16_t *stencil = (int16_t *)stencil_v;
-    int16_t *hzs_min = (int16_t *)hzs_min_v;
-    int16_t *hzs_max = (int16_t *)hzs_max_v;
-    i64 g0 = 0;
-    while (g0 < nidx) {
-        i64 s = seg_of[idx[g0]];
-        i64 t = tri[idx[g0]];
-        i64 g1 = g0;
-        while (g1 < nidx && seg_of[idx[g1]] == s && tri[idx[g1]] == t) g1++;
-        const i64 *P = params + s * 16;
-        i64 depth_test = P[0], dfunc = P[1], depth_write = P[2];
-        i64 stencil_test = P[3], sfunc = P[4], sref = P[5];
-        i64 stencil_write = P[6];
-        i64 hz_on = P[13], hz_minmax = P[14], hz_stencil = P[15];
-        i64 *SC = seg_counts + s * 4;
-        for (i64 k = g0; k < g1; k++) {
-            i64 q = idx[k];
-            const uint8_t *cov = cover + q * 4;
-            const double *zq = z + q * 4;
-            i64 bx = qx[q] * 2 / block, by = qy[q] * 2 / block;
-            i64 b = by * blocks_x + bx;
-            if (hz_on) {
-                int culled;
-                double zmin = INFINITY;
-                for (int l = 0; l < 4; l++) {
-                    double v = cov[l] ? zq[l] : INFINITY;
-                    if (v < zmin || v != v) zmin = v;
-                }
-                if (hz_minmax) {
-                    double zmax = -INFINITY;
-                    for (int l = 0; l < 4; l++) {
-                        double v = cov[l] ? zq[l] : -INFINITY;
-                        if (v > zmax || v != v) zmax = v;
-                    }
-                    culled = (zmin > hz_max[b]) || (zmax < hz_min[b]);
-                } else {
-                    culled = zmin > hz_max[b];
-                }
-                if (!culled && hz_stencil) {
-                    int16_t smn = hzs_min[b], smx = hzs_max[b];
-                    if (sfunc == 2)
-                        culled = (sref < (i64)smn) || (sref > (i64)smx);
-                    else if (sfunc == 3)
-                        culled = ((i64)smn == sref) && ((i64)smx == sref);
-                }
-                if (culled) { SC[0]++; continue; }
-            }
-            entered[q] = 1;
-            i64 op_sfail = front[q] ? P[7] : P[10];
-            i64 op_zfail = front[q] ? P[8] : P[11];
-            i64 op_zpass = front[q] ? P[9] : P[12];
-            int changed_any = 0, zwrote_any = 0;
-            i64 frag = 0;
-            int all4 = 1;
-            for (int l = 0; l < 4; l++) {
-                uint8_t al = cov[l];
-                if (al) frag++; else all4 = 0;
-                i64 pix = (qy[q] * 2 + DY[l]) * zw + qx[q] * 2 + DX[l];
-                double cur_z = fbz[pix];
-                int16_t cur_s = stencil[pix];
-                int zp;
-                if (!depth_test) zp = 1;
-                else if (dfunc == 1) zp = zq[l] < cur_z;
-                else if (dfunc == 2) zp = zq[l] <= cur_z;
-                else if (dfunc == 3) zp = fabs(zq[l] - cur_z) <= 1e-7;
-                else zp = dfunc == 4;
-                int sp;
-                if (!stencil_test) sp = 1;
-                else if (sfunc == 0) sp = 1;
-                else if (sfunc == 2) sp = (i64)cur_s == sref;
-                else if (sfunc == 3) sp = (i64)cur_s != sref;
-                else sp = 0;
-                int passed = al && zp && sp;
-                pass_mask[q * 4 + l] = (uint8_t)passed;
-                if (stencil_test && stencil_write && al) {
-                    i64 op = !sp ? op_sfail : (!zp ? op_zfail : op_zpass);
-                    if (op != 0) {
-                        i64 ns;
-                        if (op == 1) ns = 0;
-                        else if (op == 2) ns = sref;
-                        else if (op == 3) ns = ((cur_s + 1) % 256 + 256) % 256;
-                        else ns = ((cur_s - 1) % 256 + 256) % 256;
-                        if ((int16_t)ns != cur_s) {
-                            stencil[pix] = (int16_t)ns;
-                            changed_any = 1;
-                        }
-                    }
-                }
-                if (depth_test && depth_write && passed) {
-                    fbz[pix] = zq[l];
-                    zwrote_any = 1;
-                }
-            }
-            SC[1] += frag;
-            SC[2]++;
-            SC[3] += all4;
-            if (changed_any) schanged[q] = 1;
-            if (changed_any || zwrote_any) wrote[q] = 1;
-        }
-        /* Band/HZ refresh after the whole triangle, in the reference
-           order: stencil bands of changed blocks first, then (when the
-           segment writes depth) HZ extents of every written block. */
-        i64 prev_b = -1;
-        for (i64 k = g0; k < g1; k++) {
-            i64 q = idx[k];
-            if (!schanged[q]) continue;
-            i64 b = (qy[q] * 2 / block) * blocks_x + qx[q] * 2 / block;
-            if (b == prev_b) continue;
-            prev_b = b;
-            const int16_t *sb = stencil
-                + (b / blocks_x) * block * zw + (b % blocks_x) * block;
-            int16_t mn = sb[0], mx = sb[0];
-            for (i64 r = 0; r < block; r++) {
-                const int16_t *row = sb + r * zw;
-                for (i64 c = 0; c < block; c++) {
-                    int16_t v = row[c];
-                    if (v < mn) mn = v;
-                    if (v > mx) mx = v;
-                }
-            }
-            hzs_min[b] = mn;
-            hzs_max[b] = mx;
-        }
-        if (depth_write) {
-            prev_b = -1;
-            for (i64 k = g0; k < g1; k++) {
-                i64 q = idx[k];
-                if (!wrote[q]) continue;
-                i64 b = (qy[q] * 2 / block) * blocks_x + qx[q] * 2 / block;
-                if (b == prev_b) continue;
-                prev_b = b;
-                const double *zb = fbz
-                    + (b / blocks_x) * block * zw + (b % blocks_x) * block;
-                double mx = zb[0], mn = zb[0];
-                for (i64 r = 0; r < block; r++) {
-                    const double *row = zb + r * zw;
-                    for (i64 c = 0; c < block; c++) {
-                        double v = row[c];
-                        if (v > mx || v != v) mx = v;
-                        if (v < mn || v != v) mn = v;
-                    }
-                }
-                hz_max[b] = mx;
-                hz_min[b] = mn;
-            }
-        }
-        g0 = g1;
-    }
-}
 """
 
 _lib: ctypes.CDLL | None = None
@@ -1183,20 +993,6 @@ def _configure(lib: ctypes.CDLL) -> None:
         _I64P, _U8P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64,
         _I64P, _I64P,
-    ]
-    lib.zpass.restype = None
-    lib.zpass.argtypes = [
-        _I64P, ctypes.c_int64,
-        _I64P, _I64P,
-        _I64P, _I64P, _U8P, _F64P, _U8P,
-        _I64P,
-        _F64P, ctypes.c_int64,
-        ctypes.c_void_p,
-        _F64P, _F64P,
-        ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_int64, ctypes.c_int64,
-        _U8P, _U8P, _U8P, _U8P,
-        _I64P,
     ]
 
 
@@ -1464,46 +1260,3 @@ def colorpass(
     )
     return tuple(int(v) for v in counts)  # type: ignore[return-value]
 
-
-def zpass(
-    idx: np.ndarray,
-    seg_of: np.ndarray,
-    tri: np.ndarray,
-    qx: np.ndarray,
-    qy: np.ndarray,
-    cover: np.ndarray,
-    z: np.ndarray,
-    front: np.ndarray,
-    params: np.ndarray,
-    fbz: np.ndarray,
-    stencil: np.ndarray,
-    hz_max: np.ndarray,
-    hz_min: np.ndarray,
-    hzs_min: np.ndarray,
-    hzs_max: np.ndarray,
-    block: int,
-    pass_mask: np.ndarray,
-    entered: np.ndarray,
-    wrote: np.ndarray,
-    schanged: np.ndarray,
-    seg_counts: np.ndarray,
-) -> None:
-    """Fused HZ-cull + Z/stencil test-and-write over arena quads ``idx``.
-
-    Mutates the framebuffer planes, HZ arrays, and the caller-zeroed
-    ``pass_mask``/``entered``/``wrote``/``schanged``/``seg_counts``.
-    """
-    _lib.zpass(
-        idx, idx.shape[0],
-        seg_of, tri,
-        qx, qy, cover, z, front,
-        params,
-        fbz, fbz.shape[1],
-        stencil.ctypes.data_as(ctypes.c_void_p),
-        hz_max, hz_min,
-        hzs_min.ctypes.data_as(ctypes.c_void_p),
-        hzs_max.ctypes.data_as(ctypes.c_void_p),
-        block, hz_max.shape[1],
-        pass_mask, entered, wrote, schanged,
-        seg_counts,
-    )

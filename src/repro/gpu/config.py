@@ -88,18 +88,11 @@ class GpuConfig:
     # Texturing.
     max_anisotropy: int = 16
 
-    # Pipeline execution strategy (results are bit-identical either way):
-    # True runs the draw-level QuadStream path, False the per-triangle
-    # reference path kept for A/B regression testing.
+    # Pipeline execution strategy: True runs the draw-level QuadStream
+    # path, False the per-triangle reference path kept for A/B regression
+    # testing.  Results are bit-identical either way except Z/stencil
+    # memory byte totals (see ZStencilStage.account_stream).
     vectorized: bool = True
-
-    # Frame-level mega-batch path: accumulate every early-Z draw's quads
-    # into one SoA arena and run the Z/stencil stage as one native pass
-    # per frame chunk (requires ``vectorized``; see repro.gpu.fused).
-    # ``threads`` splits the arena into screen-space tile bands processed
-    # by an in-process pool — results stay bit-identical at any count.
-    fused: bool = False
-    threads: int = 1
 
     # Display.
     framebuffer_bytes_per_pixel: int = 4  # RGBA8 color; z24s8 likewise 4B
@@ -109,8 +102,6 @@ class GpuConfig:
             raise ValueError("resolution must be positive")
         if self.zstencil_cache.line_bytes != 256 and self.zstencil_cache.line_bytes < 4:
             raise ValueError("z/stencil line too small")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def pixels(self) -> int:

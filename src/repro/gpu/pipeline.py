@@ -297,27 +297,8 @@ class GpuSimulator:
         self.frame_stats.append(fstats)
         return fstats
 
-    def _fused_executor(self):
-        """The frame-fusion engine, created on first use.
-
-        Lazy so simulators restored from pre-fusion checkpoints (which
-        lack the attribute) keep working, and non-fused runs never pay
-        for it.
-        """
-        executor = getattr(self, "_fused_exec", None)
-        if executor is None:
-            from repro.gpu.fused import FusedExecutor
-
-            executor = self._fused_exec = FusedExecutor(self)
-        return executor
-
     def run_frame(self, frame: Frame, fragment_stages: bool = True) -> FrameGpuStats:
         fstats = FrameGpuStats(frame=frame.number)
-        # Deferred draws must complete before anything that reads or
-        # resets the framebuffer/caches runs (clears, uploads, the
-        # end-of-frame color flush); those are the only hazard points a
-        # frame's call stream contains.
-        fused_on = self.config.fused and self.config.vectorized
         frame_span = obs_spans.span("gpu.frame", "gpu")
         if frame_span:
             frame_span.set("frame", frame.number)
@@ -328,19 +309,13 @@ class GpuSimulator:
                     self._process_draw(call, fstats, fragment_stages)
                     continue
                 if isinstance(call, UploadResource):
-                    if fused_on:
-                        self._fused_executor().flush()
                     self.memory.write(MemClient.CP, call.byte_size)
                 elif isinstance(call, Clear):
-                    if fused_on:
-                        self._fused_executor().flush()
                     self._apply_clear(call)
                 elif isinstance(call, BindTexture):
                     pass  # applied through the state machine below
                 self.machine.apply(call)
             if fragment_stages:
-                if fused_on:
-                    self._fused_executor().flush()
                 self.color_stage.flush()
                 self.memory.read(
                     MemClient.DAC,
@@ -523,11 +498,7 @@ class GpuSimulator:
             and state.depth_func in ("less", "lequal", "equal")
         )
 
-        if self.config.fused and self.config.vectorized:
-            self._fused_executor().enqueue(
-                ccr.triangles, fp, state, fstats, early_z, hz_on
-            )
-        elif self.config.vectorized:
+        if self.config.vectorized:
             self._fragment_stages_stream(
                 ccr.triangles, fp, state, fstats, early_z, hz_on
             )

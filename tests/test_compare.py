@@ -184,7 +184,9 @@ class TestDiff:
     def test_diff_is_order_stable(self, tmp_path):
         doc = _bench_doc()
         doc["per_triangle"]["fragments"] += 1
-        doc["fused"]["seconds"] = round(doc["fused"]["seconds"] * 3, 6)
+        doc["quadstream"]["seconds"] = round(
+            doc["quadstream"]["seconds"] * 3, 6
+        )
         mutated = tmp_path / "mutated.json"
         mutated.write_text(json.dumps(doc))
         args = (compare.from_bench(FIXTURE), compare.from_bench(mutated))

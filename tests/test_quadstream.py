@@ -1,7 +1,20 @@
 """QuadStream equivalence: the draw-level vectorized path and the optional
-compiled kernels must match the per-triangle pure-Python reference bit for
-bit — same per-frame stats, quad fates, cache counters, and framebuffer
-contents on every simulated engine."""
+compiled kernels against the per-triangle pure-Python reference.
+
+One fingerprint covers everything a simulation observably produces — the
+fields the benchmark's result fingerprint covers: every frame's
+``FrameGpuStats.as_dict()`` (quad fates included), each cache's
+hit/miss/access triple, per-client memory read/write bytes, every frame's
+image, and the final color/z/stencil planes.
+
+* QuadStream vs per-triangle: equal on all of it except Z/stencil memory
+  bytes — QuadStream probes z-block compressibility at draw end (see
+  :meth:`repro.gpu.zstencil.ZStencilStage.account_stream`).  One strict
+  ``xfail`` per engine asserts Z/stencil byte equality, so the known gap
+  shows in every run and fails the day it is fixed.
+* Native kernels vs ``REPRO_NO_NATIVE`` fallbacks: equal on everything,
+  Z/stencil bytes included.
+"""
 
 import dataclasses
 import functools
@@ -16,65 +29,87 @@ from repro.gpu.clipper import ScreenTriangles
 from repro.gpu.rasterizer import rasterize_draw
 from repro.workloads import build_workload
 
-ENGINES = ["UT2004/Primeval", "Doom3/trdemo2", "Quake4/demo4"]
-FRAMES = 1
+# One workload per engine family (Table I), plus Quake4: the three
+# simulated engines lead.
+SIMULATED = ["UT2004/Primeval", "Doom3/trdemo2", "Quake4/demo4"]
+ENGINES = SIMULATED + [
+    "Riddick/MainFrame",        # Starbreeze
+    "FEAR/built-in demo",       # Monolith
+    "Half Life 2 LC/built-in",  # Valve Source
+    "Oblivion/Anvil Castle",    # Gamebryo
+]
+FRAMES = 2
 
 
-def _simulate(name: str, vectorized: bool):
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+def _fingerprint(name: str, vectorized: bool) -> dict:
     workload = build_workload(name, sim=True)
     sim = workload.simulator()
     sim.config = dataclasses.replace(sim.config, vectorized=vectorized)
-    result = sim.run_trace(workload.trace(frames=FRAMES), max_frames=FRAMES)
-    return sim, result
-
-
-@functools.lru_cache(maxsize=None)
-def _run(name: str, vectorized: bool):
-    """One simulation per (engine, path), shared across the test cases."""
-    sim, result = _simulate(name, vectorized)
+    result = sim.run_trace(
+        workload.trace(frames=FRAMES), max_frames=FRAMES, keep_images=FRAMES
+    )
     return {
-        "frame_stats": [dataclasses.asdict(fs) for fs in result.frame_stats],
-        "quad_fates": [dict(fs.quad_fates) for fs in result.frame_stats],
+        "frames": [fs.as_dict() for fs in result.frame_stats],
         "caches": {
-            cname: (cache.hits, cache.misses)
-            for cname, cache in result.caches.items()
+            cname: (cache.hits, cache.misses, cache.accesses)
+            for cname, cache in sorted(result.caches.items())
         },
-        "fb": _fb_hash(sim.fb),
+        "memory": {
+            client.name: (result.memory.reads[client],
+                          result.memory.writes[client])
+            for client in result.memory.reads
+        },
+        "images": [_sha(image) for image in result.images],
+        "planes": _sha(sim.fb.color, sim.fb.z, sim.fb.stencil),
     }
 
 
-def _fb_hash(fb) -> str:
-    h = hashlib.sha256()
-    h.update(fb.color.tobytes())
-    h.update(fb.z.tobytes())
-    h.update(fb.stencil.tobytes())
-    return h.hexdigest()
+@functools.lru_cache(maxsize=None)
+def _run(name: str, vectorized: bool) -> dict:
+    """One simulation per (engine, path), shared across the test cases."""
+    return _fingerprint(name, vectorized)
+
+
+def _without_zstencil_bytes(fingerprint: dict) -> dict:
+    memory = dict(fingerprint["memory"])
+    del memory["ZSTENCIL"]
+    return {**fingerprint, "memory": memory}
 
 
 @pytest.mark.parametrize("name", ENGINES)
 def test_quadstream_matches_per_triangle(name):
     stream = _run(name, True)
     classic = _run(name, False)
-    assert stream["frame_stats"] == classic["frame_stats"]
-    assert stream["quad_fates"] == classic["quad_fates"]
-    assert stream["caches"] == classic["caches"]
-    assert stream["fb"] == classic["fb"]
+    assert len(stream["images"]) == FRAMES
+    assert _without_zstencil_bytes(stream) == _without_zstencil_bytes(classic)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="QuadStream probes z-block compressibility at draw end "
+    "(ZStencilStage.account_stream), which moves Z/stencil bytes",
+)
+@pytest.mark.parametrize("name", ENGINES)
+def test_quadstream_zstencil_bytes_match_per_triangle(name):
+    stream = _run(name, True)["memory"]["ZSTENCIL"]
+    assert stream == _run(name, False)["memory"]["ZSTENCIL"]
 
 
 def test_native_kernels_match_python(monkeypatch):
     """The compiled kernels are a pure accelerator: forcing the Python
-    fallbacks must reproduce the identical simulation."""
-    name = ENGINES[0]
-    with_native = _run(name, True)
+    fallbacks must reproduce the identical QuadStream simulation, Z/stencil
+    bytes included."""
+    with_native = {name: _run(name, True) for name in SIMULATED}
     monkeypatch.setattr(_native, "available", lambda: False)
-    _, result = _simulate(name, True)
-    assert [
-        dataclasses.asdict(fs) for fs in result.frame_stats
-    ] == with_native["frame_stats"]
-    assert {
-        cname: (cache.hits, cache.misses)
-        for cname, cache in result.caches.items()
-    } == with_native["caches"]
+    for name in SIMULATED:
+        assert _fingerprint(name, True) == with_native[name], name
 
 
 def _random_triangles(count: int, seed: int = 7) -> ScreenTriangles:
@@ -116,9 +151,12 @@ def test_facade_exports():
 
 
 def test_runner_simulation_shim_removed():
-    """The 1.x ``Runner.simulation`` deprecation shim is gone in 2.0."""
+    """The 1.x ``Runner.simulation`` deprecation shim is gone since 2.0;
+    3.0 removed the fused path's two ``GpuConfig`` fields."""
     from repro.experiments.runner import ExperimentConfig, Runner
 
     runner = Runner(ExperimentConfig(sim_frames=1))
     assert not hasattr(runner, "simulation")
-    assert repro.__version__.split(".")[0] == "2"
+    fields = {field.name for field in dataclasses.fields(repro.GpuConfig)}
+    assert not fields & {"fused", "threads"}
+    assert repro.__version__.split(".")[0] == "3"

@@ -110,6 +110,14 @@ class TestSubmitAndDedupe:
                     "sim", "UT2004/Primeval", 1, config={"warp_factor": 9}
                 )
             assert excinfo.value.status == 400
+            # Fields removed from GpuConfig in 3.0.0 are unknown fields.
+            for field, value in (("fused", True), ("threads", 4)):
+                with pytest.raises(ServeError) as excinfo:
+                    client.submit(
+                        "sim", "UT2004/Primeval", 1, config={field: value}
+                    )
+                assert excinfo.value.status == 400
+                assert excinfo.value.doc["path"] == f"config.{field}"
         finally:
             thread.stop()
 
