@@ -673,7 +673,7 @@ def _cmd_farm(args) -> int:
     saved = sum(m["wall_s"] or 0.0 for m in entries)
     print()
     print(
-        f"{len(entries)} artifact(s), {store.total_bytes() / 1e6:.1f} MB, "
+        f"{len(entries)} artifact(s), {store.total_bytes() / 1e6:.1f} MB stored, "
         f"~{saved:.0f}s of compute banked; "
         f"{len(checkpoints)} in-flight checkpoint(s)"
     )

@@ -17,7 +17,7 @@ measurements:
 * **farm** — the three simulated engines' reduced-profile jobs run through
   the execution farm serially (``jobs=1``) and at each requested parallel
   width, each measurement against its own fresh artifact store, so the
-  scaling of the frame-sharded, warm-pool, zero-copy scheduler is visible
+  scaling of the frame-sharded, warm-pool scheduler is visible
   too.  Each entry carries the farm's per-phase timing breakdown (pool
   spawn, trace generation, simulation, harvest, shard merge) and the
   document records ``cpu_count`` — on a single-core host the parallel

@@ -15,21 +15,22 @@ slices of one timedemo execute as independent jobs (every generated frame
 opens with a full clear, making frame ranges independent) and are folded
 back bit-identically by :mod:`repro.farm.merge`.  Workers are warm — one
 process pool lives for the whole :class:`~repro.farm.executor.Farm` — and
-results travel zero-copy: workers persist artifacts and return keys, the
-parent memory-maps the heavy payloads back in at harvest.
+results travel through the store: workers persist artifacts and return
+keys, the parent loads them at harvest.
 
 The cache key covers everything that can change a result: workload spec,
 seed, frame budget, GPU configuration, and a hash of the ``repro`` source
 tree — so stale artifacts are impossible by construction and ``farm clear``
 is an optimization, never a correctness requirement.  On top of the key,
-every artifact carries a SHA-256 checksum and is re-validated against the
-pipeline's conservation invariants (:mod:`repro.farm.invariants`) on load;
-corrupt files are quarantined, never reused.  The recovery machinery —
-crash/hang/exception retry with deterministic backoff, checkpoint resume,
-graceful degradation via ``Farm(strict=False)`` and
-:class:`~repro.farm.executor.FailureReport` — is itself exercised by the
-seeded fault-injection layer (:mod:`repro.farm.faults`) and the
-``repro chaos`` end-to-end suite (:mod:`repro.farm.chaos`).
+every store entry is sealed with a SHA-256 checksum, and artifacts are
+re-validated against the pipeline's conservation invariants
+(:mod:`repro.farm.invariants`) on load; corrupt files are quarantined,
+never reused.  The recovery machinery — crash/hang/exception retry with
+deterministic backoff, checkpoint resume, graceful degradation via
+``Farm(strict=False)`` and :class:`~repro.farm.executor.FailureReport` —
+is itself exercised by the seeded fault-injection layer
+(:mod:`repro.farm.faults`) and the ``repro chaos`` end-to-end suite
+(:mod:`repro.farm.chaos`).
 """
 
 from repro.farm.executor import (

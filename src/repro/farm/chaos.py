@@ -1,11 +1,11 @@
 """``repro chaos`` — end-to-end injected-fault recovery suite.
 
 Runs every fault class the injector knows (worker crash, hang, transient
-exception, artifact corruption, checkpoint truncation, ``ENOSPC``,
-read-only cache, native-compile failure, a strict/graceful-degradation
-check, plus frame-shard recovery: a worker dying mid-shard and a shard
-artifact corrupted between worker save and parent harvest, plus draw-cache
-staleness and truncation under incremental replay) against real
+exception, artifact corruption, checkpoint truncation, trace corruption,
+``ENOSPC``, read-only cache, native-compile failure, a strict/graceful-
+degradation check, plus frame-shard recovery: a worker dying mid-shard and
+a shard artifact corrupted between worker save and parent harvest, plus
+draw-cache staleness and truncation under incremental replay) against real
 farm batches, and asserts that the recovered results are **bit-identical**
 to a fault-free reference run — the same equality the tier-1 suite demands
 of parallel-vs-serial execution.  Corruption scenarios additionally assert
@@ -30,9 +30,10 @@ from typing import Callable
 import numpy as np
 
 from repro.farm import faults
+from repro.farm.checkpoint import clear_trace_cache
 from repro.farm.executor import Farm, FarmError
 from repro.farm.job import JobSpec, api_job, sim_job
-from repro.farm.store import ArtifactStore
+from repro.farm.store import ArtifactStore, unseal, write_sealed
 from repro.util.tables import format_table
 
 WORKLOAD = "UT2004/Primeval"
@@ -184,6 +185,30 @@ def _checkpoint_truncation(ctx: _Context) -> str:
     return "corrupt checkpoint quarantined; resumed run is bit-identical"
 
 
+def _trace_corruption(ctx: _Context) -> str:
+    """The stored trace is truncated after save; the next job that needs it
+    must quarantine it, regenerate the trace, and match bit for bit."""
+    job = sim_job(WORKLOAD, 2)
+    clear_trace_cache()  # earlier in-process runs cached this very trace
+    plan = ctx.plan(faults.FaultSpec("corrupt_trace", times=1))
+    with faults.injected(plan):
+        first = ctx.farm("trace-corruption", jobs=1).run([job])
+    _check_match(ctx.reference, first, [job])
+    warm = ctx.farm("trace-corruption", jobs=1)
+    # Drop the artifact so the rerun replays the trace, and the in-process
+    # trace cache so the replay reads the stored (damaged) file.
+    warm.store.artifact_path(job).unlink(missing_ok=True)
+    clear_trace_cache()
+    recovered = warm.run([job])
+    _check_match(ctx.reference, recovered, [job])
+    name = warm.store.trace_path(job).name
+    if not any(p.name == name for p in warm.store.quarantined_files()):
+        raise ChaosFailure("corrupted trace was not quarantined")
+    if not warm.store.contains_trace(job):
+        raise ChaosFailure("regenerated trace was not stored again")
+    return "corrupt trace quarantined; regenerated run is bit-identical"
+
+
 def _unwritable(ctx: _Context, error: str) -> str:
     """Cache writes fail (full/read-only volume); results still flow."""
     plan = ctx.plan(faults.FaultSpec("unwritable", times=0, error=error))
@@ -283,8 +308,6 @@ def _stale_drawcache(ctx: _Context) -> str:
     """A draw-cache record goes stale (its recorded bound-state keys no
     longer match the stream); the per-draw key mismatch must invalidate the
     record and re-simulate the frame, never reuse it."""
-    import hashlib
-    import json
     import pickle
 
     job = sim_job(WORKLOAD, 2)
@@ -296,23 +319,14 @@ def _stale_drawcache(ctx: _Context) -> str:
     if not records:
         raise ChaosFailure("incremental run recorded no draw-cache entries")
     target = records[0]
-    record = pickle.loads(target.read_bytes())
+    header, payload = unseal(target.read_bytes())
+    record = pickle.loads(payload)
     record.draw_keys = tuple("0" * 24 for _ in record.draw_keys)
     blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    target.write_bytes(blob)
-    meta_path = target.with_suffix(".json")
-    meta = json.loads(meta_path.read_text())
-    meta["sha256"] = hashlib.sha256(blob).hexdigest()  # checksum stays valid
-    meta_path.write_text(json.dumps(meta))
+    write_sealed(target, header, blob)  # the seal stays valid
     # Drop the run-level artifact so the retry re-executes through the
     # (tampered) draw cache instead of loading the finished result.
-    for path in (
-        store.artifact_path(job),
-        store.meta_path(job),
-        store.images_path(job),
-    ):
-        if path.exists():
-            path.unlink()
+    store.artifact_path(job).unlink(missing_ok=True)
     warm = ctx.farm("stale-drawcache", jobs=1, shard_frames=0, incremental=True)
     recovered = warm.run([job])
     _check_match(ctx.reference, recovered, [job])
@@ -339,13 +353,7 @@ def _corrupt_drawcache(ctx: _Context) -> str:
         raise ChaosFailure("incremental run recorded no draw-cache entries")
     target = records[-1]
     target.write_bytes(target.read_bytes()[: max(1, target.stat().st_size // 3)])
-    for path in (
-        store.artifact_path(job),
-        store.meta_path(job),
-        store.images_path(job),
-    ):
-        if path.exists():
-            path.unlink()
+    store.artifact_path(job).unlink(missing_ok=True)
     warm = ctx.farm(
         "corrupt-drawcache", jobs=1, shard_frames=0, incremental=True
     )
@@ -365,6 +373,7 @@ SCENARIOS: dict[str, Callable[[_Context], str]] = {
     "transient-exception": _transient_exception,
     "artifact-corruption": _artifact_corruption,
     "checkpoint-truncation": _checkpoint_truncation,
+    "trace-corruption": _trace_corruption,
     "enospc": lambda ctx: _unwritable(ctx, "ENOSPC"),
     "read-only-cache": lambda ctx: _unwritable(ctx, "EROFS"),
     "native-compile-failure": _native_compile,

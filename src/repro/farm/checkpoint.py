@@ -13,7 +13,7 @@ zero, bit-identically (covered by ``tests/test_farm.py``).
 
 Trace generation is the other shared cost: every shard of one run replays
 the *same* call stream, so :func:`job_trace` resolves it through a
-worker-local LRU and the store's shared trace files
+worker-local LRU and the store's sealed trace entries
 (:meth:`repro.farm.store.ArtifactStore.load_trace`) instead of regenerating
 it per job.  Only jobs on the same profile share a trace: ``sim`` and
 ``geometry`` jobs of one total length do, but ``api`` jobs measure the

@@ -38,14 +38,14 @@ construction:
   call stream, the workload spec, the GPU config, or the code version
   lands in the key, so stale entries are simply never found; a record
   whose stored per-draw keys disagree with the current stream (or whose
-  bytes fail the SHA-256 sidecar check, or whose counter deltas violate
-  conservation) is quarantined via the store's never-reuse semantics and
-  the frame recomputed.
+  seal fails, or whose counter deltas violate conservation) is
+  quarantined via the store's never-reuse semantics and the frame
+  recomputed.
 
-Persistent entries live under ``<cache_root>/drawcache/<frame_key>.pkl``
-with JSON SHA-256 sidecars, mirroring :mod:`repro.farm.store`; with no
-store the cache is memory-only (intra-run reuse still applies).  The
-``drawcache.{hits,misses,invalidations}`` metric family and
+Persistent entries live under ``<cache_root>/drawcache/<frame_key>.pkl``,
+sealed like every other store entry (:func:`repro.farm.store.write_sealed`);
+with no store the cache is memory-only (intra-run reuse still applies).
+The ``drawcache.{hits,misses,invalidations}`` metric family and
 ``gpu.frame.reuse`` spans surface reuse behaviour through
 :mod:`repro.observe`.
 """
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from repro.api.commands import Clear, Draw
 from repro.api.trace import Frame, Trace, _encode_call
 from repro.farm.job import JobSpec, _canonical
-from repro.farm.store import ArtifactStore, _atomic_write, UNPICKLE_ERRORS
+from repro.farm.store import ArtifactStore, write_sealed
 from repro.gpu.stats import FrameGpuStats, MemClient
 from repro.observe import metrics as obs_metrics
 from repro.observe import spans as obs_spans
@@ -182,9 +182,9 @@ class DrawCache:
     """Draw-level record store with the artifact store's trust model.
 
     In-memory always; persistent under ``<root>/drawcache/`` when built
-    over an :class:`ArtifactStore` — ``<frame_key>.pkl`` records with
-    ``<frame_key>.json`` SHA-256 sidecars, atomic writes, and corrupt
-    entries quarantined (never reused, never silently deleted) exactly
+    over an :class:`ArtifactStore` — one sealed ``<frame_key>.pkl`` file
+    per record, read through :meth:`ArtifactStore.read_entry`, so corrupt
+    entries are quarantined (never reused, never silently deleted) exactly
     like artifacts.  ``base_key`` scopes every lookup: records from
     other workloads/configs/code versions can share the directory but
     can never match.
@@ -205,9 +205,6 @@ class DrawCache:
     def record_path(self, frame_key: str) -> pathlib.Path:
         return self.directory / f"{frame_key}.pkl"
 
-    def meta_path(self, frame_key: str) -> pathlib.Path:
-        return self.directory / f"{frame_key}.json"
-
     # -- accounting ------------------------------------------------------
     def _count(self, counter: str) -> None:
         setattr(self, counter, getattr(self, counter) + 1)
@@ -219,59 +216,44 @@ class DrawCache:
         self._memory.pop(frame_key, None)
         if self.store is not None:
             self.store.quarantine(
-                [self.record_path(frame_key), self.meta_path(frame_key)],
-                f"drawcache {frame_key}: {reason}",
+                [self.record_path(frame_key)], f"drawcache {frame_key}: {reason}"
             )
 
     # -- load / save -----------------------------------------------------
     def load(self, frame_key: str) -> FrameRecord | None:
         """The stored record for ``frame_key``, or ``None``.
 
-        Runs the artifact gauntlet: SHA-256 sidecar check, guarded
-        unpickle, base-key scope check, and :meth:`FrameRecord.violations`
+        Runs the artifact gauntlet: seal check, guarded unpickle,
+        base-key scope check, and :meth:`FrameRecord.violations`
         conservation checks.  Anything that fails is quarantined and
         reported as a miss.  Does *not* bump hit/miss counters — only the
         runner knows whether a miss was even reusable.
         """
         record = self._memory.get(frame_key)
-        if record is not None:
+        if record is not None or self.store is None:
             return record
-        if self.store is None:
-            return None
-        path = self.record_path(frame_key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        meta: dict = {}
-        try:
-            meta = json.loads(self.meta_path(frame_key).read_text())
-        except (OSError, json.JSONDecodeError):
-            pass
-        expected = meta.get("sha256")
-        if expected is None or hashlib.sha256(blob).hexdigest() != expected:
-            self.invalidate(frame_key, "record checksum mismatch")
-            return None
-        if meta.get("base") != self.base_key:
-            # Same frame key under another base fingerprint is a SHA-256
-            # collision or tampering — either way, untrustworthy.
-            self.invalidate(frame_key, "record base-key mismatch")
-            return None
-        try:
-            record = pickle.loads(blob)
-        except UNPICKLE_ERRORS as exc:
-            self.invalidate(
-                frame_key, f"record undecodable ({type(exc).__name__}: {exc})"
-            )
-            return None
-        if not isinstance(record, FrameRecord) or record.frame_key != frame_key:
-            self.invalidate(frame_key, "record identity mismatch")
-            return None
-        problems = record.violations()
-        if problems:
-            self.invalidate(frame_key, "; ".join(problems))
-            return None
-        self._memory[frame_key] = record
+
+        def decode(header: dict, payload) -> FrameRecord:
+            if header.get("base") != self.base_key:
+                # Same frame key under another base fingerprint is a
+                # SHA-256 collision or tampering — either way, untrustworthy.
+                raise ValueError("base-key mismatch")
+            record = pickle.loads(payload)
+            if not isinstance(record, FrameRecord) or record.frame_key != frame_key:
+                raise ValueError("identity mismatch")
+            problems = record.violations()
+            if problems:
+                raise ValueError("; ".join(problems))
+            return record
+
+        record = self.store.read_entry(
+            self.record_path(frame_key),
+            decode,
+            "record",
+            reject=lambda reason: self.invalidate(frame_key, reason),
+        )
+        if record is not None:
+            self._memory[frame_key] = record
         return record
 
     def save(self, record: FrameRecord) -> None:
@@ -279,23 +261,11 @@ class DrawCache:
         if self.store is None:
             return
         try:
-            blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-            # The record + sidecar pair must land together: a concurrent
-            # quota sweep or quarantine move interleaving between the two
-            # writes would leave a record whose checksum never verifies.
-            # LockTimeout is an OSError, so a contended lock degrades to
-            # memory-only exactly like a full volume does.
-            with self.store.lock("drawcache", timeout=10.0):
-                _atomic_write(self.record_path(record.frame_key), blob)
-                meta = {
-                    "sha256": hashlib.sha256(blob).hexdigest(),
-                    "base": self.base_key,
-                    "frame_key": record.frame_key,
-                    "draws": len(record.draw_keys),
-                }
-                _atomic_write(
-                    self.meta_path(record.frame_key), json.dumps(meta).encode()
-                )
+            write_sealed(
+                self.record_path(record.frame_key),
+                {"base": self.base_key},
+                pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
+            )
         except OSError:
             pass  # full/read-only volume: run on memory-only
 

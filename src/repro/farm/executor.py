@@ -23,10 +23,10 @@ Execution policy, in order:
    a worker death / kill (or by :meth:`Farm.close`).  Workers precompile
    the native kernels at init and keep generated traces in an in-process
    LRU, so only the first job in a worker pays those costs.
-4. **Zero-copy transport** — workers persist their (large) result into the
+4. **Store transport** — workers persist their (large) result into the
    content-addressed store and ship back only the artifact key plus a few
-   scalars; the parent materializes from disk at harvest, memory-mapping
-   rendered frames instead of pushing them through the result pipe.
+   scalars; the parent reloads it from the store at harvest instead of
+   receiving it through the result pipe.
 5. **Crash/hang/exception recovery** — a worker crash breaks the pool, so
    the round's unfinished units are requeued and the pool is rebuilt; a
    round that outlives its deadline (``timeout`` seconds per unit, scaled
@@ -249,9 +249,9 @@ def _pool_entry(
     """Pool-side wrapper: run the worker, strip stored results for transport.
 
     When the standard worker persisted its result, only the envelope (key
-    plus scalars) crosses the process boundary; the parent reloads —
-    memory-mapping rendered frames — from the store.  Custom workers and
-    unsaved results (no cache dir, unwritable volume) pass through whole.
+    plus scalars) crosses the process boundary; the parent reloads the
+    result from the store.  Custom workers and unsaved results (no cache
+    dir, unwritable volume) pass through whole.
     ``incremental`` is forwarded to the standard worker only — custom
     workers keep their three-argument contract.
 
@@ -887,13 +887,12 @@ class Farm:
                     )
 
     def _materialize(self, job: JobSpec, outcome: Any):
-        """Reload a stored (zero-copy) outcome from the shared store.
+        """Reload a stored outcome from the shared store.
 
-        Returns ``(outcome, error)``.  The store load re-verifies the
-        checksum and memory-maps rendered frames; a damaged artifact is
-        quarantined there and reported here as a retryable error, so
-        on-disk corruption between worker save and parent harvest degrades
-        to a recompute.
+        Returns ``(outcome, error)``.  The store load re-verifies the seal
+        and the invariants; a damaged artifact is quarantined there and
+        reported here as a retryable error, so on-disk corruption between
+        worker save and parent harvest degrades to a recompute.
         """
         if not (
             isinstance(outcome, JobOutcome)

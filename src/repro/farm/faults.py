@@ -21,9 +21,9 @@ Injection points (all no-ops when no plan is installed):
   transient exception before any work happens;
 * :func:`on_frame` — frame boundaries inside checkpointed simulations:
   the same three faults, targeted at a chosen frame index;
-* :func:`corrupt_file` — artifact / checkpoint bytes after a successful
-  write (truncation or a seeded bit flip, *after* the checksum sidecar is
-  written, modelling on-disk corruption);
+* :func:`corrupt_file` — artifact / checkpoint / trace bytes after a
+  successful sealed write (truncation or a seeded bit flip, modelling
+  on-disk corruption);
 * :func:`check_writable` — raises ``OSError`` (``ENOSPC`` or ``EROFS``)
   at the top of store writes, modelling a full or read-only cache volume;
 * :func:`native_compile_fault` — makes the optional C accelerator report

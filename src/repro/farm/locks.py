@@ -3,9 +3,9 @@
 One ``.repro-cache`` directory is routinely shared by several processes —
 a ``repro serve`` instance and a CLI run, two serve instances behind a
 port, pool workers persisting shards while the parent evicts over quota.
-Every individual file write in the store is already atomic (temp file +
+Every store entry is one file written atomically (temp file +
 ``os.replace``), but *multi-file* critical sections are not: LRU eviction
-reads recency then unlinks a family, quarantine moves a family aside and
+reads recency then unlinks a family, quarantine moves a file aside and
 appends to ``REASONS.log``, the serve journal appends lifecycle records.
 Interleaving two of those can evict a family another process just touched
 or tear a journal line.
@@ -19,13 +19,12 @@ atomic replace already gives them a consistent view of any single file.
 
 **Lock hierarchy** (acquire strictly in this order, outermost first)::
 
-    journal  >  drawcache  >  trace  >  store
+    journal  >  store
 
-A holder of an inner lock must never acquire an outer one — e.g. the
-drawcache save path may take ``store`` (via quarantine) while holding
-``drawcache``, but store maintenance never reaches back into the journal.
-No current code path holds more than two, and the ordering makes the
-pairing deadlock-free by construction.
+A holder of ``store`` must never acquire ``journal``: journal code may
+take ``store`` (via quarantine) while holding ``journal``, but store
+maintenance never reaches back into the journal, which makes the pairing
+deadlock-free by construction.
 
 On platforms without ``fcntl`` the lock degrades to a process-local
 :class:`threading.Lock` — single-process correctness is preserved and the

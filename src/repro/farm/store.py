@@ -3,61 +3,53 @@
 Layout under the cache root (``.repro-cache/`` by default,
 ``REPRO_CACHE_DIR`` override)::
 
-    artifacts/<key>.pkl        pickled WorkloadApiStats / SimulationResult
-    artifacts/<key>.json       metadata sidecar (job, wall time, SHA-256)
-    artifacts/<key>.npy        rendered frames, stripped out of the pickle
-                               and memory-mapped back in on load
-    checkpoints/<key>.ckpt     pickled mid-run simulator state (sim jobs)
-    checkpoints/<key>.meta.json  checkpoint SHA-256 sidecar
-    traces/<tkey>.jsonl        generated API trace, shared by every job and
+    artifacts/<key>.pkl        WorkloadApiStats / SimulationResult
+    artifacts/<key>.spans      a worker's span buffer (see repro.observe)
+    checkpoints/<key>.ckpt     mid-run simulator state (sim jobs)
+    traces/<tkey>.pkl          generated API trace, shared by every job and
                                frame shard that replays the same timedemo
-    traces/<tkey>.meta.json    trace SHA-256 / frame-count sidecar
     drawcache/<fkey>.pkl       draw-level frame records for incremental
-                               simulation (+ ``.json`` SHA-256 sidecars,
-                               see :mod:`repro.farm.drawcache`)
-    quarantine/                corrupt files moved aside, never reused
+                               simulation (see :mod:`repro.farm.drawcache`)
+    quarantine/                damaged files moved aside, never reused
 
-Rendered frames dominate artifact size, so :meth:`save` splits them into a
-plain ``.npy`` sidecar and :meth:`load` reattaches them as views of one
-``numpy.load(mmap_mode="r")`` array: pool workers ship back kilobytes of
-counters over the result pipe while the parent pages frame data straight
-from the cache file — the farm's zero-copy result transport.
+Every entry is one sealed file (:func:`write_sealed`): a SHA-256 line over
+the rest of the file, a JSON header line, then the payload — a pickle, or
+JSON lines for span buffers.  Writes are atomic (temp file +
+``os.replace``), so a killed process never leaves a half-written entry,
+and keys embed the full invalidation surface (see
+:meth:`repro.farm.job.JobSpec.key`, which hashes the ``repro`` sources),
+so a load either returns the exact result the job would recompute or
+nothing.
 
-Writes are atomic (temp file + ``os.replace``) so a killed process never
-leaves a half-written artifact, and keys embed the full invalidation
-surface (see :meth:`repro.farm.job.JobSpec.key`), so a load either returns
-the exact result the job would recompute or nothing.
+Loads trust nothing: :meth:`ArtifactStore.read_entry` checks the seal,
+decodes under a guard that catches the whole family of exceptions
+truncated or garbage bytes can raise, and artifacts are passed through
+:func:`repro.farm.invariants.validate_result`.  An entry that fails is
+moved into ``quarantine/`` (with the reason logged) and reported as a miss
+— corruption is preserved as evidence and recomputed around, never
+silently reused and never silently deleted.
 
-Loads trust nothing: the pickle bytes are checked against the SHA-256
-recorded in the sidecar at save time, decoding catches the whole family of
-exceptions truncated or garbage bytes can raise, and decoded results are
-passed through :func:`repro.farm.invariants.validate_result`.  Anything
-that fails is moved into ``quarantine/`` (with the reason logged) and
-reported as a miss — corruption is preserved as evidence and recomputed
-around, never silently reused and never silently deleted.
+Workers persist their results here and hand the parent only the key, so
+results cross the process boundary through the store, not the result pipe.
 
-Capacity is managed by :meth:`ArtifactStore.enforce_quota`: artifact
-families are evicted least-recently-used first (recency = meta mtime,
-refreshed on every load hit) until the cache fits a byte budget, skipping
-pinned keys and never touching ``quarantine/``.
+Capacity is managed by :meth:`ArtifactStore.enforce_quota`: artifacts,
+traces and draw-cache records are evicted least-recently-used first
+(recency = the entry's own mtime, refreshed on every artifact load hit)
+until the store fits a byte budget, skipping pinned keys and never
+touching checkpoints or ``quarantine/``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import io
 import json
 import os
 import pathlib
 import pickle
 import tempfile
 import time
-from typing import Any
+from typing import Any, Callable
 
-import numpy as np
-
-from repro.api import trace as trace_io
 from repro.farm import faults
 from repro.farm.invariants import validate_result
 from repro.farm.job import JobSpec
@@ -66,6 +58,10 @@ from repro.farm.version import code_version
 
 #: Default cache directory name, relative to the current working directory.
 DEFAULT_DIRNAME = ".repro-cache"
+
+#: Store directories the quota counts: everything regenerable.  In-flight
+#: checkpoints and quarantined evidence are never evicted.
+QUOTA_DIRS = ("artifacts", "traces", "drawcache")
 
 #: Everything unpickling truncated/garbage/foreign bytes is known to raise.
 #: ``MemoryError`` belongs here: a corrupted length prefix can demand an
@@ -90,12 +86,14 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path(override) if override else pathlib.Path(DEFAULT_DIRNAME)
 
 
-def _atomic_write(path: pathlib.Path, data: bytes) -> None:
+def _atomic_write(path: pathlib.Path, *parts: bytes) -> None:
+    """Write ``parts`` back to back into ``path`` with one ``os.replace``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -103,6 +101,53 @@ def _atomic_write(path: pathlib.Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def write_sealed(path: pathlib.Path, header: dict, payload: bytes) -> None:
+    """Atomically write one store entry: seal line, header line, payload.
+
+    The seal is the SHA-256 of everything after it, so damage anywhere —
+    header or payload — is caught by :func:`unseal`.  The parts are written
+    separately: a multi-megabyte payload is never copied to be sealed.
+    """
+    head = json.dumps(header, sort_keys=True).encode() + b"\n"
+    digest = hashlib.sha256(head)
+    digest.update(payload)
+    _atomic_write(path, digest.hexdigest().encode() + b"\n", head, payload)
+
+
+def unseal(data: bytes) -> tuple[dict, memoryview]:
+    """``(header, payload)`` of a sealed entry; ``ValueError`` if damaged.
+
+    The payload is a view into ``data``, not a copy.
+    """
+    view = memoryview(data)
+    expected = bytes(view[:64]).decode("ascii", "replace")
+    actual = hashlib.sha256(view[65:]).hexdigest()
+    if actual != expected:
+        raise ValueError(
+            f"checksum mismatch ({actual[:12]} != {expected[:12]})"
+        )
+    end = data.find(b"\n", 65)
+    header = json.loads(bytes(view[65:end])) if end > 0 else None
+    if not isinstance(header, dict):
+        raise ValueError("sealed entry has no header")
+    return header, view[end + 1 :]
+
+
+def _read_header(path: pathlib.Path) -> dict:
+    """The JSON header of a sealed file, unverified (listings, metadata)."""
+    try:
+        with open(path, "rb") as handle:
+            handle.readline(65)
+            header = json.loads(handle.readline())
+    except (OSError, ValueError):
+        return {}
+    return header if isinstance(header, dict) else {}
+
+
+def _unpickle(header: dict, payload: memoryview) -> Any:
+    return pickle.loads(payload)
 
 
 class ArtifactStore:
@@ -139,26 +184,14 @@ class ArtifactStore:
     def artifact_path(self, job: JobSpec) -> pathlib.Path:
         return self.artifact_dir / f"{job.key()}.pkl"
 
-    def meta_path(self, job: JobSpec) -> pathlib.Path:
-        return self.artifact_dir / f"{job.key()}.json"
-
-    def images_path(self, job: JobSpec) -> pathlib.Path:
-        return self.artifact_dir / f"{job.key()}.npy"
-
     def trace_path(self, job: JobSpec) -> pathlib.Path:
-        return self.trace_dir / f"{job.trace_key()}.jsonl"
-
-    def trace_meta_path(self, job: JobSpec) -> pathlib.Path:
-        return self.trace_dir / f"{job.trace_key()}.meta.json"
+        return self.trace_dir / f"{job.trace_key()}.pkl"
 
     def checkpoint_path(self, job: JobSpec) -> pathlib.Path:
         return self.checkpoint_dir / f"{job.key()}.ckpt"
 
-    def checkpoint_meta_path(self, job: JobSpec) -> pathlib.Path:
-        return self.checkpoint_dir / f"{job.key()}.meta.json"
-
     def spans_path(self, job: JobSpec) -> pathlib.Path:
-        return self.artifact_dir / f"{job.key()}.spans.jsonl"
+        return self.artifact_dir / f"{job.key()}.spans"
 
     # -- cross-process locking ------------------------------------------
     def lock(self, name: str = "store", timeout: float | None = 30.0) -> FileLock:
@@ -166,11 +199,10 @@ class ArtifactStore:
 
         One ``.repro-cache`` is routinely shared by a serve instance and
         CLI runs; multi-file critical sections (quota eviction, quarantine
-        moves, drawcache record+sidecar pairs, journal appends) take one of
-        these so they never interleave across processes.  ``name`` selects
-        the lock file (``journal`` > ``drawcache`` > ``trace`` > ``store``
-        in acquisition order — see :mod:`repro.farm.locks` for the
-        hierarchy rules).
+        moves, journal appends) take one of these so they never interleave
+        across processes.  ``name`` selects the lock file (``journal`` >
+        ``store`` in acquisition order — see :mod:`repro.farm.locks` for
+        the hierarchy rules).
         """
         return FileLock(self.root / "locks" / f"{name}.lock", timeout=timeout)
 
@@ -180,10 +212,10 @@ class ArtifactStore:
 
         Best effort by design: on an unwritable volume the files cannot be
         moved *or* deleted, but the caller already treats them as a miss,
-        and the checksum/decode gauntlet will reject them again next time.
-        The store lock keeps the move + ``REASONS.log`` append atomic
-        against concurrent eviction in another process — but a lock that
-        cannot be acquired never blocks the quarantine itself.
+        and the seal check will reject them again next time.  The store
+        lock keeps the move + ``REASONS.log`` append atomic against
+        concurrent eviction in another process — but a lock that cannot be
+        acquired never blocks the quarantine itself.
         """
         self.quarantined += 1
         guard: FileLock | None = self.lock("store", timeout=5.0)
@@ -221,12 +253,40 @@ class ArtifactStore:
             p for p in self.quarantine_dir.iterdir() if p.name != "REASONS.log"
         )
 
+    # -- sealed entries --------------------------------------------------
+    def read_entry(
+        self,
+        path: pathlib.Path,
+        decode: Callable[[dict, memoryview], Any],
+        what: str,
+        reject: Callable[[str], None] | None = None,
+    ) -> Any | None:
+        """Read, unseal and decode the entry at ``path``; ``None`` if absent.
+
+        ``decode(header, payload)`` turns the verified parts into a value
+        and raises one of :data:`UNPICKLE_ERRORS` (usually ``ValueError``)
+        to refuse them.  A damaged or refused entry is read as a miss and
+        handed to ``reject`` with the reason; by default that one file is
+        quarantined.
+        """
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return None
+        try:
+            return decode(*unseal(data))
+        except UNPICKLE_ERRORS as exc:
+            reason = f"{what} rejected ({type(exc).__name__}: {exc})"
+            if reject is None:
+                self.quarantine([path], reason)
+            else:
+                reject(reason)
+            return None
+
     # -- artifacts ------------------------------------------------------
     def _read_meta(self, job: JobSpec) -> dict:
-        try:
-            return json.loads(self.meta_path(job).read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
+        """The stored artifact's header (``sha256`` digests its pickle)."""
+        return _read_header(self.artifact_path(job))
 
     def load(self, job: JobSpec, validate: bool = True) -> Any | None:
         """The stored result for ``job``, or ``None`` on miss/corruption.
@@ -235,131 +295,30 @@ class ArtifactStore:
         :meth:`quarantine`) — a bad artifact is never returned and never
         left in place to be trusted by a later load.
         """
-        path = self.artifact_path(job)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            self.misses += 1
-            return None
-        meta = self._read_meta(job)
-        expected = meta.get("sha256")
-        if expected is not None:
-            digest = hashlib.sha256(blob).hexdigest()
-            if digest != expected:
-                self.quarantine(
-                    [path, self.meta_path(job)],
-                    f"artifact checksum mismatch ({digest[:12]} != "
-                    f"{expected[:12]}) for {job.describe()}",
-                )
-                self.misses += 1
-                return None
-        try:
-            result = pickle.loads(blob)
-        except UNPICKLE_ERRORS as exc:
-            self.quarantine(
-                [path, self.meta_path(job)],
-                f"artifact undecodable ({type(exc).__name__}: {exc}) "
-                f"for {job.describe()}",
-            )
-            self.misses += 1
-            return None
-        images_meta = meta.get("images")
-        if images_meta:
-            result = self._attach_images(job, result, images_meta)
-            if result is None:
-                self.misses += 1
-                return None
-        if validate:
-            violations = validate_result(job, result)
-            if violations:
-                self.quarantine(
-                    [path, self.meta_path(job)],
-                    f"artifact invariant violation for {job.describe()}: "
-                    + "; ".join(violations),
-                )
-                self.misses += 1
-                return None
-        self.hits += 1
-        self._touch(job)
-        return result
 
-    def _touch(self, job: JobSpec) -> None:
-        """Refresh the family's recency (LRU order keys off the meta mtime)."""
+        def decode(header: dict, payload: memoryview) -> Any:
+            result = pickle.loads(payload)
+            violations = validate_result(job, result) if validate else []
+            if violations:
+                raise ValueError("invariant violation: " + "; ".join(violations))
+            return result
+
+        path = self.artifact_path(job)
+        result = self.read_entry(path, decode, f"artifact for {job.describe()}")
+        if result is None:
+            self.misses += 1
+            return None
+        self.hits += 1
         try:
-            os.utime(self.meta_path(job))
+            os.utime(path)  # LRU recency
         except OSError:
             pass
-
-    def _attach_images(self, job: JobSpec, result: Any, images_meta: dict):
-        """Reattach the ``.npy`` frame sidecar as memory-mapped views.
-
-        Any failure — missing file, checksum mismatch, undecodable array,
-        wrong frame count — quarantines the whole artifact family and
-        reports a miss, so a damaged mapped file degrades to a recompute
-        instead of a crash (or worse, silently wrong pixels) later when
-        the pages are actually touched.
-        """
-        family = [
-            self.artifact_path(job),
-            self.meta_path(job),
-            self.images_path(job),
-        ]
-        npy = self.images_path(job)
-        try:
-            blob = npy.read_bytes()
-        except OSError:
-            self.quarantine(
-                family, f"image sidecar missing for {job.describe()}"
-            )
-            return None
-        digest = hashlib.sha256(blob).hexdigest()
-        expected = images_meta.get("sha256")
-        if expected is not None and digest != expected:
-            self.quarantine(
-                family,
-                f"image sidecar checksum mismatch ({digest[:12]} != "
-                f"{expected[:12]}) for {job.describe()}",
-            )
-            return None
-        try:
-            stacked = np.load(npy, mmap_mode="r", allow_pickle=False)
-        except (OSError, ValueError) as exc:
-            self.quarantine(
-                family,
-                f"image sidecar undecodable ({type(exc).__name__}: {exc}) "
-                f"for {job.describe()}",
-            )
-            return None
-        if len(stacked) != images_meta.get("count", len(stacked)):
-            self.quarantine(
-                family, f"image sidecar frame count wrong for {job.describe()}"
-            )
-            return None
-        return dataclasses.replace(
-            result, images=[stacked[i] for i in range(len(stacked))]
-        )
-
-    @staticmethod
-    def _detach_images(result: Any):
-        """Split uniform rendered frames off a result for ``.npy`` storage.
-
-        Returns ``(slim_result, stacked_array | None)``; results without
-        images (or with ragged shapes, which ``np.stack`` can't express)
-        are stored whole.
-        """
-        images = getattr(result, "images", None)
-        if not images:
-            return result, None
-        if len({(a.shape, a.dtype.str) for a in images}) != 1:
-            return result, None
-        return dataclasses.replace(result, images=[]), np.stack(images)
+        return result
 
     def save(self, job: JobSpec, result: Any, wall_s: float | None = None) -> None:
         faults.check_writable(f"artifact:{job.describe()}")
-        slim, stacked = self._detach_images(result)
-        blob = pickle.dumps(slim, protocol=pickle.HIGHEST_PROTOCOL)
-        _atomic_write(self.artifact_path(job), blob)
-        meta = {
+        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        header = {
             "key": job.key(),
             "kind": job.kind,
             "workload": job.workload,
@@ -370,25 +329,9 @@ class ArtifactStore:
             "code": code_version(),
             "created": time.time(),
         }
-        if stacked is None:
-            # A re-save must not leave a stale sidecar to be reattached.
-            try:
-                self.images_path(job).unlink()
-            except OSError:
-                pass
-        else:
-            buffer = io.BytesIO()
-            np.save(buffer, stacked, allow_pickle=False)
-            image_blob = buffer.getvalue()
-            _atomic_write(self.images_path(job), image_blob)
-            meta["images"] = {
-                "sha256": hashlib.sha256(image_blob).hexdigest(),
-                "count": int(stacked.shape[0]),
-            }
-        _atomic_write(self.meta_path(job), json.dumps(meta, indent=1).encode())
-        faults.corrupt_file(
-            "corrupt_artifact", self.artifact_path(job), job.describe()
-        )
+        path = self.artifact_path(job)
+        write_sealed(path, header, blob)
+        faults.corrupt_file("corrupt_artifact", path, job.describe())
 
     def contains(self, job: JobSpec) -> bool:
         return self.artifact_path(job).exists()
@@ -397,100 +340,53 @@ class ArtifactStore:
     def save_spans(self, job: JobSpec, payload: dict) -> None:
         """Persist a worker's span-buffer payload next to the artifact.
 
-        Format: one JSON header line (track identity, metrics snapshot,
-        span count, SHA-256 of the span body), then one JSON span per
-        line.  Best effort — observability must never fail a job, so
-        write errors are swallowed.
+        The header holds the track identity and metrics snapshot, the
+        payload one JSON span per line.  Best effort — observability must
+        never fail a job, so write errors are swallowed.
         """
-        spans = payload.get("spans", [])
-        body = "".join(
-            json.dumps(doc, sort_keys=True) + "\n" for doc in spans
-        )
         head = {k: v for k, v in payload.items() if k != "spans"}
-        head["count"] = len(spans)
-        head["sha256"] = hashlib.sha256(body.encode()).hexdigest()
-        text = json.dumps(head, sort_keys=True) + "\n" + body
+        body = "".join(
+            json.dumps(doc, sort_keys=True) + "\n"
+            for doc in payload.get("spans", [])
+        )
         try:
-            _atomic_write(self.spans_path(job), text.encode())
+            write_sealed(self.spans_path(job), head, body.encode())
         except OSError:
             pass
 
     def load_spans(self, job: JobSpec) -> dict | None:
         """Load and verify a span sidecar; quarantine and None on corruption."""
-        path = self.spans_path(job)
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        try:
-            head_line, _, body = text.partition("\n")
-            head = json.loads(head_line)
-            digest = hashlib.sha256(body.encode()).hexdigest()
-            if digest != head.get("sha256"):
-                raise ValueError("span sidecar checksum mismatch")
-            spans = [json.loads(line) for line in body.splitlines() if line]
-            if len(spans) != head.get("count"):
-                raise ValueError("span sidecar count mismatch")
-        except (ValueError, TypeError, KeyError) as exc:
-            self.quarantine([path], f"span sidecar: {exc}")
-            return None
-        head.pop("sha256", None)
-        head.pop("count", None)
-        head["spans"] = spans
-        return head
+
+        def decode(header: dict, payload: memoryview) -> dict:
+            lines = bytes(payload).decode().splitlines()
+            header["spans"] = [json.loads(line) for line in lines]
+            return header
+
+        return self.read_entry(self.spans_path(job), decode, "span sidecar")
 
     # -- checkpoints ----------------------------------------------------
     def load_checkpoint(self, job: JobSpec) -> Any | None:
         """The checkpointed simulator for ``job``, or ``None``.
 
-        Verified against the SHA-256 sidecar like artifacts; a corrupt
-        checkpoint is quarantined and the caller restarts from frame zero
-        (which is always correct, just slower).
+        A corrupt checkpoint is quarantined and the caller restarts from
+        frame zero (which is always correct, just slower).
         """
-        path = self.checkpoint_path(job)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        expected = None
-        try:
-            expected = json.loads(self.checkpoint_meta_path(job).read_text()).get(
-                "sha256"
-            )
-        except (OSError, json.JSONDecodeError):
-            pass
-        if expected is not None and hashlib.sha256(blob).hexdigest() != expected:
-            self.quarantine(
-                [path, self.checkpoint_meta_path(job)],
-                f"checkpoint checksum mismatch for {job.describe()}",
-            )
-            return None
-        try:
-            return pickle.loads(blob)
-        except UNPICKLE_ERRORS as exc:
-            self.quarantine(
-                [path, self.checkpoint_meta_path(job)],
-                f"checkpoint undecodable ({type(exc).__name__}: {exc}) "
-                f"for {job.describe()}",
-            )
-            return None
+        return self.read_entry(
+            self.checkpoint_path(job), _unpickle, f"checkpoint for {job.describe()}"
+        )
 
     def save_checkpoint(self, job: JobSpec, state: Any) -> None:
         faults.check_writable(f"checkpoint:{job.describe()}")
+        path = self.checkpoint_path(job)
         blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        _atomic_write(self.checkpoint_path(job), blob)
-        meta = {"sha256": hashlib.sha256(blob).hexdigest(), "created": time.time()}
-        _atomic_write(self.checkpoint_meta_path(job), json.dumps(meta).encode())
-        faults.corrupt_file(
-            "corrupt_checkpoint", self.checkpoint_path(job), job.describe()
-        )
+        write_sealed(path, {"key": job.key(), "created": time.time()}, blob)
+        faults.corrupt_file("corrupt_checkpoint", path, job.describe())
 
     def clear_checkpoint(self, job: JobSpec) -> None:
-        for path in (self.checkpoint_path(job), self.checkpoint_meta_path(job)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        try:
+            self.checkpoint_path(job).unlink()
+        except OSError:
+            pass
 
     # -- shared traces --------------------------------------------------
     def load_trace(self, job: JobSpec):
@@ -500,86 +396,21 @@ class ArtifactStore:
         shard of a run — and every kind sharing a profile — resolves to
         the same file.  Verified and quarantined like artifacts.
         """
-        path = self.trace_path(job)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        meta_path = self.trace_meta_path(job)
-        expected = None
-        try:
-            expected = json.loads(meta_path.read_text()).get("sha256")
-        except (OSError, json.JSONDecodeError):
-            pass
-        if expected is not None and hashlib.sha256(blob).hexdigest() != expected:
-            self.quarantine(
-                [path, meta_path],
-                f"trace checksum mismatch for {job.describe()}",
-            )
-            return None
-        try:
-            trace = trace_io.load_trace(path)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            self.quarantine(
-                [path, meta_path],
-                f"trace undecodable ({type(exc).__name__}: {exc}) "
-                f"for {job.describe()}",
-            )
-            return None
-        if trace.meta.frame_count < job.total_frames:
-            self.quarantine(
-                [path, meta_path],
-                f"trace too short ({trace.meta.frame_count} < "
-                f"{job.total_frames} frames) for {job.describe()}",
-            )
-            return None
-        return trace
+        return self.read_entry(
+            self.trace_path(job), _unpickle, f"trace for {job.describe()}"
+        )
 
     def save_trace(self, job: JobSpec, trace) -> None:
-        """Persist a generated timedemo for other workers/shards to replay.
-
-        The trace and its checksum sidecar are two files: the trace lock
-        keeps the pair coherent when several processes generate the same
-        workload concurrently (a trace from one writer paired with the
-        other's sidecar would checksum-fail and be quarantined on load).
-        Best effort — a busy lock degrades to the unlocked write rather
-        than failing the job that produced the trace.
-        """
+        """Persist a generated timedemo for other workers/shards to replay."""
         faults.check_writable(f"trace:{job.describe()}")
-        guard: FileLock | None = self.lock("trace", timeout=10.0)
-        try:
-            guard.acquire()
-        except OSError:
-            guard = None
-        try:
-            path = self.trace_path(job)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            os.close(fd)
-            try:
-                trace_io.save_trace(trace, tmp)
-                digest = hashlib.sha256(
-                    pathlib.Path(tmp).read_bytes()
-                ).hexdigest()
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            meta = {
-                "sha256": digest,
-                "frames": trace.meta.frame_count,
-                "workload": job.workload,
-                "created": time.time(),
-            }
-            _atomic_write(self.trace_meta_path(job), json.dumps(meta).encode())
-        finally:
-            if guard is not None:
-                guard.release()
+        path = self.trace_path(job)
+        header = {
+            "workload": job.workload,
+            "frames": trace.meta.frame_count,
+            "created": time.time(),
+        }
+        blob = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+        write_sealed(path, header, blob)
         faults.corrupt_file("corrupt_trace", path, job.describe())
 
     def contains_trace(self, job: JobSpec) -> bool:
@@ -587,20 +418,18 @@ class ArtifactStore:
 
     # -- inspection / maintenance ---------------------------------------
     def entries(self) -> list[dict]:
-        """Metadata for every stored artifact, newest first."""
+        """The header of every stored artifact, newest first."""
         metas: list[dict] = []
         if not self.artifact_dir.is_dir():
             return metas
-        for path in self.artifact_dir.glob("*.json"):
+        for path in self.artifact_dir.glob("*.pkl"):
+            meta = _read_header(path)
+            if "key" not in meta:
+                continue  # not a sealed artifact (an older store layout)
             try:
-                meta = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+                meta["bytes"] = path.stat().st_size
+            except OSError:
                 continue
-            meta["bytes"] = sum(
-                side.stat().st_size
-                for side in (path.with_suffix(".pkl"), path.with_suffix(".npy"))
-                if side.exists()
-            )
             metas.append(meta)
         metas.sort(key=lambda m: m.get("created") or 0, reverse=True)
         return metas
@@ -611,41 +440,42 @@ class ArtifactStore:
         return sorted(self.checkpoint_dir.glob("*.ckpt"))
 
     def total_bytes(self) -> int:
-        return sum(m["bytes"] for m in self.entries())
+        """Bytes the quota counts: artifacts, traces and draw-cache records."""
+        return sum(f["bytes"] for f in self.families())
 
     # -- quota / LRU eviction -------------------------------------------
     def families(self) -> list[dict]:
-        """Every artifact family, least-recently-used first.
+        """Every evictable family, least-recently-used first.
 
-        A *family* is one job key's files (``.pkl`` + ``.json`` meta +
-        optional ``.npy`` frames and ``.spans.jsonl`` sidecar).  Recency is
-        the meta file's mtime: written at save time and refreshed by
-        :meth:`_touch` on every successful load, so sorting by it is LRU
-        order.  Quarantined files are not families — they are evidence,
-        never candidates for reuse *or* eviction.
+        A *family* is the files of one directory under :data:`QUOTA_DIRS`
+        that share a stem (everything before the first dot): an artifact
+        and its span sidecar, one trace, one draw-cache record — and files
+        an older store layout left under the same key.  Recency is the
+        newest member's mtime, written at save time and refreshed on every
+        artifact load, so sorting by it is LRU order.  Quarantined files are
+        not families — they are evidence, never candidates for reuse *or*
+        eviction.
         """
-        if not self.artifact_dir.is_dir():
-            return []
+        groups: dict[tuple[str, str], list[pathlib.Path]] = {}
+        for name in QUOTA_DIRS:
+            directory = self.root / name
+            if not directory.is_dir():
+                continue
+            for path in directory.iterdir():
+                stem = path.name.split(".", 1)[0]
+                groups.setdefault((name, stem), []).append(path)
         families = []
-        for meta_path in self.artifact_dir.glob("*.json"):
-            key = meta_path.stem
-            paths = [
-                meta_path,
-                meta_path.with_suffix(".pkl"),
-                meta_path.with_suffix(".npy"),
-                self.artifact_dir / f"{key}.spans.jsonl",
-            ]
-            present = [p for p in paths if p.exists()]
+        for (_, key), paths in groups.items():
             try:
-                used = meta_path.stat().st_mtime
+                stats = [path.stat() for path in paths]
             except OSError:
                 continue
             families.append(
                 {
                     "key": key,
-                    "paths": present,
-                    "bytes": sum(p.stat().st_size for p in present),
-                    "last_used": used,
+                    "paths": paths,
+                    "bytes": sum(st.st_size for st in stats),
+                    "last_used": max(st.st_mtime for st in stats),
                 }
             )
         families.sort(key=lambda f: (f["last_used"], f["key"]))
@@ -654,19 +484,19 @@ class ArtifactStore:
     def enforce_quota(
         self, max_bytes: int, pinned: frozenset | set | tuple = ()
     ) -> list[str]:
-        """Evict least-recently-used artifact families down to ``max_bytes``.
+        """Evict least-recently-used families down to ``max_bytes``.
 
         Families whose key is in ``pinned`` (e.g. jobs a serve instance
         still has queued, running, or published) are never evicted, and the
-        quarantine directory is never touched — a quarantined family stays
+        quarantine directory is never touched — a quarantined file stays
         quarantined.  Eviction *deletes* (it is reclaiming space from valid
-        artifacts, not preserving evidence).  Returns the evicted keys.
+        entries, not preserving evidence).  Returns the evicted keys.
 
         Runs under the store lock, and re-checks each family's recency
-        immediately before unlinking: recency is read from meta mtimes when
+        immediately before unlinking: recency is read from mtimes when
         the candidate list is built, so without the re-check a concurrent
         load could touch a family *after* it was selected and still lose it
-        — the classic check-then-act race.  A family whose meta mtime moved
+        — the classic check-then-act race.  A family whose mtime moved
         past the snapshot is skipped this round (it is recently used now).
         If the lock cannot be acquired another process is already managing
         the quota; this call backs off and evicts nothing.
@@ -685,12 +515,12 @@ class ArtifactStore:
                     break
                 if family["key"] in pinned:
                     continue
-                meta_path = self.artifact_dir / f"{family['key']}.json"
                 try:
-                    if meta_path.stat().st_mtime > family["last_used"]:
+                    used = max(p.stat().st_mtime for p in family["paths"])
+                    if used > family["last_used"]:
                         continue  # touched since the snapshot: now recent
                 except OSError:
-                    pass  # meta already gone; reclaim the leftovers
+                    pass  # partly gone already; reclaim the leftovers
                 for path in family["paths"]:
                     try:
                         path.unlink()
@@ -703,7 +533,7 @@ class ArtifactStore:
             guard.release()
 
     def clear(self) -> int:
-        """Delete every artifact, checkpoint, and quarantined file."""
+        """Delete every stored entry, checkpoint, and quarantined file."""
         removed = 0
         for directory in (
             self.artifact_dir,

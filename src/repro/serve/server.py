@@ -884,19 +884,21 @@ class ReproServer:
             return httpd.json_response(
                 409, {"error": f"job is {entry.state}", "state": entry.state}
             )
-        path = self.store.artifact_path(entry.spec)
-        try:
-            blob = path.read_bytes()
-        except OSError:
+        found = self.store.read_entry(
+            self.store.artifact_path(entry.spec),
+            lambda header, payload: (header, bytes(payload)),
+            f"artifact for {entry.spec.describe()}",
+        )
+        if found is None:
             return httpd.json_response(
-                404, {"error": "artifact evicted or missing"}
+                404, {"error": "artifact evicted, missing or corrupt"}
             )
-        meta = self.store._read_meta(entry.spec)
+        header, blob = found
         return httpd.response(
             200,
             blob,
             content_type="application/octet-stream",
-            headers={"X-Repro-SHA256": meta.get("sha256") or ""},
+            headers={"X-Repro-SHA256": header.get("sha256") or ""},
         )
 
     def _stats_doc(self) -> dict:

@@ -7,8 +7,9 @@ The contract under test:
   seed, GPU config) while ignoring demo position and frame budget;
 * incremental replay — cold or warm — is bit-identical to full
   re-simulation, on every engine family;
-* stale records (per-draw key mismatch) are invalidated, corrupt records
-  and sidecars are quarantined, and the frame is re-simulated either way.
+* stale records (per-draw key mismatch) are invalidated, records damaged
+  in payload or header are quarantined, and the frame is re-simulated
+  either way.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.farm.drawcache import (
     opens_with_full_clear,
     run_trace_incremental,
 )
+from repro.farm.store import unseal, write_sealed
 from repro.observe import metrics as obs_metrics
 from repro.workloads import build_workload
 
@@ -236,17 +238,12 @@ class TestReuseBitIdentity:
 class TestInvalidation:
     def _tamper_draw_keys(self, store) -> pathlib.Path:
         """Make one record stale-but-checksum-valid (mutated bound state)."""
-        import hashlib
-
         target = sorted(store.drawcache_dir.glob("*.pkl"))[0]
-        record = pickle.loads(target.read_bytes())
+        header, payload = unseal(target.read_bytes())
+        record = pickle.loads(payload)
         record.draw_keys = tuple("0" * 24 for _ in record.draw_keys)
         blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        target.write_bytes(blob)
-        meta_path = target.with_suffix(".json")
-        meta = json.loads(meta_path.read_text())
-        meta["sha256"] = hashlib.sha256(blob).hexdigest()
-        meta_path.write_text(json.dumps(meta))
+        write_sealed(target, header, blob)  # resealed: the checksum holds
         return target
 
     def test_stale_record_invalidated_and_recomputed(self, tmp_path):
@@ -278,10 +275,12 @@ class TestInvalidation:
     def test_truncated_sidecar_quarantined(self, tmp_path):
         store = ArtifactStore(tmp_path)
         _incremental_run(WORKLOAD, 1, store)
-        sidecar = sorted(store.drawcache_dir.glob("*.json"))[0]
-        sidecar.write_text(sidecar.read_text()[:10])
+        target = sorted(store.drawcache_dir.glob("*.pkl"))[0]
+        data = target.read_bytes()
+        header_end = data.index(b"\n", 65)
+        target.write_bytes(data[:70] + data[header_end:])  # header cut short
         cache = job_drawcache(sim_job(WORKLOAD, 1), store)
-        assert cache.load(sidecar.stem) is None
+        assert cache.load(target.stem) is None
         assert cache.invalidations == 1
         assert store.quarantined >= 1
 

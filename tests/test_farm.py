@@ -112,7 +112,7 @@ class TestArtifactStore:
         assert len(entries) == 2
         assert {m["workload"] for m in entries} == {WORKLOAD}
         assert store.total_bytes() > 0
-        assert store.clear() == 4  # 2 pickles + 2 meta sidecars
+        assert store.clear() == 2  # one sealed file per artifact
         assert store.entries() == []
 
     def test_env_override_resolves_cache_dir(self, tmp_path, monkeypatch):

@@ -4,13 +4,13 @@ Four layers, bottom-up:
 
 * the injector itself — plan serialization, env installation, cross-process
   ``times`` accounting, deterministic corruption;
-* store integrity — checksum/decode/invariant gauntlet, quarantine,
-  legacy artifacts without checksums;
+* store integrity — seal/decode/invariant gauntlet, quarantine, and one
+  sealed file per entry with damage caught anywhere in it;
 * the conservation invariants — clean results pass, tampered ones don't;
 * end-to-end recovery — every satellite fault class (crash, hang, corrupt
-  artifact, truncated checkpoint, unwritable cache, native-compile failure)
-  recovers results bit-identical to a fault-free run, plus the
-  ``strict=False`` degradation contract.
+  artifact, truncated checkpoint, corrupt trace, unwritable cache,
+  native-compile failure) recovers results bit-identical to a fault-free
+  run, plus the ``strict=False`` degradation contract.
 
 The end-to-end cases run the shared ``repro chaos`` scenarios (the same
 code ``python -m repro chaos`` executes), against one module-scoped
@@ -19,9 +19,9 @@ fault-free reference batch.
 
 from __future__ import annotations
 
-import json
 import os
 import time
+import types
 
 import pytest
 
@@ -37,6 +37,9 @@ from repro.farm import (
     validate_result,
 )
 from repro.farm import chaos, faults
+from repro.farm.drawcache import CACHE_NAMES, DrawCache, FrameRecord
+from repro.farm.store import write_sealed
+from repro.gpu.stats import FrameGpuStats
 
 WORKLOAD = "UT2004/Primeval"
 OTHER = "Doom3/trdemo2"
@@ -149,7 +152,7 @@ class TestStoreIntegrity:
         assert store.quarantined == 1
         assert not store.artifact_path(job).exists()  # moved, not left behind
         names = {p.name for p in store.quarantined_files()}
-        assert names == {f"{job.key()}.pkl", f"{job.key()}.json"}
+        assert names == {f"{job.key()}.pkl"}
         log = (store.quarantine_dir / "REASONS.log").read_text()
         assert "checksum mismatch" in log
 
@@ -157,24 +160,15 @@ class TestStoreIntegrity:
         job = api_job(WORKLOAD, 2)
         store = ArtifactStore(tmp_path)
         store.save(job, "placeholder")
-        store.artifact_path(job).write_bytes(b"\x80\x05garbage")
-        meta = json.loads(store.meta_path(job).read_text())
-        del meta["sha256"]  # legacy sidecar: decode errors must still catch it
-        store.meta_path(job).write_text(json.dumps(meta))
+        # A valid seal over garbage: only the guarded decode can catch it.
+        write_sealed(store.artifact_path(job), {"key": job.key()},
+                     b"\x80\x05garbage")
 
         assert store.load(job) is None
         assert store.quarantined == 1
-        assert "undecodable" in (store.quarantine_dir / "REASONS.log").read_text()
-
-    def test_legacy_meta_without_checksum_still_loads(self, tmp_path):
-        job = api_job(WORKLOAD, 2)
-        store = ArtifactStore(tmp_path)
-        store.save(job, "placeholder")
-        meta = json.loads(store.meta_path(job).read_text())
-        del meta["sha256"]
-        store.meta_path(job).write_text(json.dumps(meta))
-        assert store.load(job) == "placeholder"
-        assert store.hits == 1
+        assert "UnpicklingError" in (
+            store.quarantine_dir / "REASONS.log"
+        ).read_text()
 
     def test_semantic_violation_quarantined(self, tmp_path):
         # A well-formed pickle under the wrong key: the checksum and the
@@ -209,6 +203,89 @@ class TestStoreIntegrity:
         assert store.quarantined_files()
         store.clear()
         assert store.quarantined_files() == []
+
+
+def _frame_record(frame_key: str) -> FrameRecord:
+    return FrameRecord(
+        frame_key=frame_key,
+        draw_keys=("d" * 24,),
+        fstats=FrameGpuStats(),
+        memory_reads={},
+        memory_writes={},
+        cache_deltas={name: (1, 1, 2) for name in CACHE_NAMES},
+        cache_states={name: {} for name in CACHE_NAMES},
+    )
+
+
+#: Per entry family: (save, load, path of the one file a save leaves).
+ENTRY_FAMILIES = {
+    "artifact": (
+        lambda store, job: store.save(job, "placeholder"),
+        lambda store, job: store.load(job),
+        lambda store, job: store.artifact_path(job),
+    ),
+    "checkpoint": (
+        lambda store, job: store.save_checkpoint(job, {"frame": 1}),
+        lambda store, job: store.load_checkpoint(job),
+        lambda store, job: store.checkpoint_path(job),
+    ),
+    "trace": (
+        lambda store, job: store.save_trace(
+            job, types.SimpleNamespace(meta=types.SimpleNamespace(frame_count=2))
+        ),
+        lambda store, job: store.load_trace(job),
+        lambda store, job: store.trace_path(job),
+    ),
+    "drawcache": (
+        lambda store, job: DrawCache(store, "b" * 24).save(_frame_record("f" * 24)),
+        lambda store, job: DrawCache(store, "b" * 24).load("f" * 24),
+        lambda store, job: DrawCache(store, "b" * 24).record_path("f" * 24),
+    ),
+    "spans": (
+        lambda store, job: store.save_spans(
+            job, {"track": "t", "pid": 1, "metrics": None, "spans": [{"n": 1}]}
+        ),
+        lambda store, job: store.load_spans(job),
+        lambda store, job: store.spans_path(job),
+    ),
+}
+
+
+class TestSealedEntries:
+    """Every store family is one sealed file; damage anywhere is a miss."""
+
+    @pytest.mark.parametrize("region", ["seal", "header", "payload"])
+    @pytest.mark.parametrize("family", sorted(ENTRY_FAMILIES))
+    def test_one_file_per_entry_and_damage_anywhere_quarantines_it(
+        self, tmp_path, family, region
+    ):
+        save, load, entry_path = ENTRY_FAMILIES[family]
+        store = ArtifactStore(tmp_path)
+        job = sim_job(WORKLOAD, 2)
+        save(store, job)
+        path = entry_path(store, job)
+        files = [p for p in tmp_path.rglob("*") if p.is_file()
+                 and p.parent.name != "locks"]
+        assert files == [path]
+        assert load(store, job) is not None
+
+        data = bytearray(path.read_bytes())
+        header_end = data.index(b"\n", 65)
+        assert header_end > 70  # the header line is long enough to hit
+        position = {
+            "seal": 10,
+            "header": 70,
+            "payload": (header_end + 1 + len(data)) // 2,
+        }[region]
+        data[position] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        assert load(store, job) is None
+        assert not path.exists()
+        assert [p.name for p in store.quarantined_files()] == [path.name]
+        assert "checksum mismatch" in (
+            store.quarantine_dir / "REASONS.log"
+        ).read_text()
 
 
 # -- conservation invariants ------------------------------------------------
@@ -272,6 +349,9 @@ class TestChaosRecovery:
 
     def test_truncated_checkpoint_restarts_cleanly(self, chaos_ctx):
         chaos._checkpoint_truncation(chaos_ctx("ckpt"))
+
+    def test_corrupt_trace_quarantined_and_regenerated(self, chaos_ctx):
+        chaos._trace_corruption(chaos_ctx("trace"))
 
     def test_unwritable_cache_dir_still_produces_results(self, chaos_ctx):
         chaos._unwritable(chaos_ctx("readonly"), "EROFS")

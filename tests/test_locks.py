@@ -28,7 +28,7 @@ SRC_ROOT = str(pathlib.Path(repro.__file__).resolve().parents[1])
 def _save(store: ArtifactStore, seed: int, mtime: float) -> JobSpec:
     job = JobSpec("api", WORKLOAD, 2, seed=seed)
     store.save(job, f"payload-{seed}" * 64)
-    os.utime(store.meta_path(job), (mtime, mtime))
+    os.utime(store.artifact_path(job), (mtime, mtime))
     return job
 
 
@@ -115,14 +115,14 @@ class TestQuotaRaces:
         """The TOCTOU re-check: a concurrent cache hit saves its family.
 
         ``enforce_quota`` snapshots recency, then deletes.  A family whose
-        meta mtime advanced past the snapshot was used *after* it — the
+        mtime advanced past the snapshot was used *after* it — the
         stale snapshot must not evict what is now the most recent entry.
         """
         store = ArtifactStore(tmp_path)
         touched = _save(store, 1, mtime=1_000)  # snapshot says LRU
         other = _save(store, 2, mtime=2_000)
         stale = store.families()
-        os.utime(store.meta_path(touched), None)  # concurrent cache hit
+        os.utime(store.artifact_path(touched), None)  # concurrent cache hit
         monkeypatch.setattr(store, "families", lambda: stale)
 
         evicted = store.enforce_quota(0)

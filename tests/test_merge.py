@@ -9,8 +9,8 @@ The farm's scaling story rests on three claims, each tested here:
 * the merge itself is a well-behaved fold: order-invariant, associative,
   and loud (``MergeError``) on gaps, overlaps, or mixed result types;
 * the transport around it holds up — shared traces round-trip through the
-  store exactly, image payloads survive the detach/memory-map cycle, a
-  corrupted sidecar is quarantined instead of crashing the harvest, and
+  store exactly, rendered frames survive a store round trip, a corrupted
+  trace is quarantined and regenerated instead of crashing the job, and
   the warm worker pool outlives both retry rounds and whole runs.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
 import pytest
 
 from repro.api.tracer import ApiTracer
@@ -335,35 +334,10 @@ def test_images_round_trip_through_sidecar(tmp_path, imaged):
     job, result = imaged
     store = ArtifactStore(tmp_path)
     store.save(job, result)
-    assert store.images_path(job).exists()
     loaded = store.load(job)
     assert loaded is not None
+    assert len(loaded.images) == 2
     assert results_equal(result, loaded)
-    assert all(isinstance(image, np.memmap) for image in loaded.images)
-
-
-def test_corrupt_image_sidecar_is_quarantined(tmp_path, imaged):
-    job, result = imaged
-    store = ArtifactStore(tmp_path)
-    store.save(job, result)
-    blob = bytearray(store.images_path(job).read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    store.images_path(job).write_bytes(bytes(blob))
-    assert store.load(job) is None  # mismatch detected, no crash
-    assert store.quarantined >= 1
-    assert any(p.suffix == ".npy" for p in store.quarantined_files())
-    assert not store.contains(job)  # whole family retired
-    store.save(job, result)  # recompute path: a fresh save works
-    assert results_equal(result, store.load(job))
-
-
-def test_truncated_image_sidecar_is_quarantined(tmp_path, imaged):
-    job, result = imaged
-    store = ArtifactStore(tmp_path)
-    store.save(job, result)
-    store.images_path(job).write_bytes(b"\x93NUMPY")
-    assert store.load(job) is None
-    assert store.quarantined >= 1
 
 
 # -- the shared trace store --------------------------------------------------
@@ -391,7 +365,7 @@ def test_corrupt_trace_is_quarantined_and_regenerated(tmp_path):
     store = ArtifactStore(tmp_path)
     original = job_trace(job, store)
     path = store.trace_path(job)
-    path.write_text(path.read_text()[: path.stat().st_size // 2])
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     clear_trace_cache()
     assert store.load_trace(job) is None
     assert store.quarantined >= 1

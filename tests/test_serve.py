@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.farm import ArtifactStore, Farm, JobSpec
+from repro.farm.store import unseal
 from repro.observe import spans as obs_spans
 from repro.serve import (
     Backpressure,
@@ -295,7 +296,8 @@ class TestServedBitIdentity:
         direct_store = ArtifactStore(tmp_path / "direct")
         with Farm(store=direct_store, jobs=1, checkpoint_every=0) as farm:
             farm.run_one(spec)
-        direct = direct_store.artifact_path(spec).read_bytes()
+        _, payload = unseal(direct_store.artifact_path(spec).read_bytes())
+        direct = bytes(payload)
 
         assert hashlib.sha256(served).hexdigest() == served_sha
         assert served == direct

@@ -3,15 +3,19 @@
 The serve layer runs the store as a bounded cache
 (:meth:`ArtifactStore.enforce_quota`); these tests pin the properties
 that make that safe: recency is updated on use (so eviction is真 LRU),
-in-flight / published jobs can be pinned and are never evicted, and
+in-flight / published jobs can be pinned and are never evicted, the
+bound covers traces and draw-cache records as well as artifacts, and
 quarantined files — evidence of corruption — are neither counted as
 evictable families, deleted by quota churn, nor resurrected as cache
 hits.
 """
 
 import os
+import pickle
+import types
 
 from repro.farm import ArtifactStore, JobSpec
+from repro.farm.store import QUOTA_DIRS, write_sealed
 
 WORKLOAD = "UT2004/Primeval"
 
@@ -24,7 +28,7 @@ def _save(store: ArtifactStore, seed: int, mtime: float) -> JobSpec:
     """One stored family with a controlled last-used time."""
     job = _job(seed)
     store.save(job, f"payload-{seed}" * 64)
-    os.utime(store.meta_path(job), (mtime, mtime))
+    os.utime(store.artifact_path(job), (mtime, mtime))
     return job
 
 
@@ -45,11 +49,7 @@ class TestFamilies:
         (family,) = store.families()
         expected = sum(
             p.stat().st_size
-            for p in (
-                store.artifact_path(job),
-                store.meta_path(job),
-                store.artifact_dir / f"{job.key()}.spans.jsonl",
-            )
+            for p in (store.artifact_path(job), store.spans_path(job))
         )
         assert family["bytes"] == expected
 
@@ -76,8 +76,8 @@ class TestEnforceQuota:
         assert evicted == [oldest.key()]
         assert not store.contains(oldest)
         assert store.contains(middle) and store.contains(newest)
-        # Eviction removes the whole family, meta included.
-        assert not store.meta_path(oldest).exists()
+        # Eviction removes the whole family.
+        assert not list(store.artifact_dir.glob(f"{oldest.key()}.*"))
 
     def test_no_eviction_under_quota(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -105,6 +105,57 @@ class TestEnforceQuota:
         evicted = store.enforce_quota(0)
         assert sorted(evicted) == sorted(j.key() for j in jobs)
         assert store.families() == []
+
+
+def _stored_bytes(store: ArtifactStore) -> int:
+    return sum(
+        path.stat().st_size
+        for name in QUOTA_DIRS
+        if (store.root / name).is_dir()
+        for path in (store.root / name).iterdir()
+    )
+
+
+class TestWholeStoreQuota:
+    def test_quota_bounds_traces_and_drawcache_records(self, tmp_path):
+        """Traces and draw-cache records count and are never pinned;
+        in-flight checkpoints are left alone."""
+        store = ArtifactStore(tmp_path)
+        jobs = [_save(store, seed, mtime=2_000 + seed) for seed in range(3)]
+        for seed, job in enumerate(jobs):
+            trace = types.SimpleNamespace(
+                meta=types.SimpleNamespace(frame_count=2), calls=b"t" * 50_000
+            )
+            store.save_trace(job, trace)
+            os.utime(store.trace_path(job), (1_000 + seed, 1_000 + seed))
+            record = store.drawcache_dir / f"{seed:024x}.pkl"
+            write_sealed(record, {"base": "b"}, b"r" * 20_000)
+            os.utime(record, (1_500 + seed, 1_500 + seed))
+        store.save_checkpoint(jobs[0], {"frame": 1})
+        max_bytes = sum(
+            store.artifact_path(job).stat().st_size for job in jobs
+        ) + 30_000
+        assert _stored_bytes(store) > max_bytes
+
+        evicted = store.enforce_quota(max_bytes, pinned={j.key() for j in jobs})
+        assert evicted
+        assert _stored_bytes(store) <= max_bytes
+        assert all(store.contains(job) for job in jobs)  # pinned
+        assert not any(store.contains_trace(job) for job in jobs)  # LRU
+        assert store.load_checkpoint(jobs[0]) == {"frame": 1}
+
+    def test_older_layout_files_are_families_but_not_entries(self, tmp_path):
+        """Files an older store layout left (a bare pickle plus a JSON
+        sidecar) are listed by nothing, but the quota still evicts them."""
+        store = ArtifactStore(tmp_path)
+        store.artifact_dir.mkdir(parents=True)
+        (store.artifact_dir / "old.pkl").write_bytes(pickle.dumps("stale"))
+        (store.artifact_dir / "old.json").write_text('{"sha256": "0"}')
+        assert store.entries() == []
+        (family,) = store.families()
+        assert family["key"] == "old" and len(family["paths"]) == 2
+        assert store.enforce_quota(0) == ["old"]
+        assert not any(store.artifact_dir.iterdir())
 
 
 class TestQuarantineSafety:
