@@ -25,12 +25,6 @@ def main() -> None:
     parser.add_argument("name", nargs="?", default="Doom3/trdemo2")
     parser.add_argument("--api-frames", type=int, default=120)
     parser.add_argument("--sim-frames", type=int, default=6)
-    parser.add_argument(
-        "--no-incremental",
-        dest="incremental",
-        action="store_false",
-        help="force full re-simulation instead of draw-level reuse",
-    )
     args = parser.parse_args()
     name = args.name
 
@@ -59,9 +53,7 @@ def main() -> None:
         return
 
     print(f"\n=== Microarchitectural characterization: {name} ===")
-    result = repro.characterize(
-        name, frames=args.sim_frames, incremental=args.incremental
-    )
+    result = repro.simulate(name, frames=args.sim_frames)
     stats = result.stats
     # Geometry-only replays have no facade shortcut; drive a runner with an
     # explicit frame budget for the clip/cull/traverse pass.

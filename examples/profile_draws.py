@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Attach the per-draw profiler to a simulated workload frame.
+"""Profile the draw calls of a simulated workload frame.
 
-Shows the NVPerfHUD-style use of :class:`repro.gpu.profiler.DrawProfiler`:
-rank the heaviest batches of a frame, attribute the frame's memory traffic
+Shows the NVPerfHUD-style use of :func:`repro.gpu.profiler.profile_workload`
+(per-draw rows rebuilt from the pipeline's ``gpu.draw`` spans): rank the
+heaviest batches of a frame, attribute the frame's memory traffic
 to the render passes, and identify which pass structure dominates — the
 stencil-shadow games spend their traffic very differently from UT2004.
 

@@ -19,10 +19,6 @@ parallel-safe)::
 
     stats = repro.api_stats("UT2004/Primeval")
 
-    # Long timedemos: draw-level incremental replay (bit-identical,
-    # re-simulates only frames whose content changed).
-    result = repro.characterize("UT2004/Primeval", frames=100)
-
 Lower-level pieces (:class:`GpuSimulator`, :func:`build_workload`, …) remain
 importable for callers that need to drive the pipeline directly.
 """
@@ -31,14 +27,13 @@ from repro.api.tracer import ApiTracer
 from repro.experiments.runner import (
     ExperimentConfig,
     api_stats,
-    characterize,
     simulate,
 )
 from repro.gpu.config import GpuConfig
 from repro.gpu.pipeline import GpuSimulator, SimulationResult
 from repro.workloads import build_workload, all_workloads, workload
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "ApiTracer",
@@ -49,7 +44,6 @@ __all__ = [
     "api_stats",
     "build_workload",
     "all_workloads",
-    "characterize",
     "simulate",
     "workload",
     "__version__",

@@ -26,12 +26,9 @@ The measurement-heavy commands (``tables``, ``figures``, ``scorecard``,
 measurement runs across worker processes (default: all cores), results are
 cached content-addressed under ``.repro-cache/`` (``--cache-dir`` or
 ``REPRO_CACHE_DIR`` override, ``--no-cache`` to disable), and interrupted
-simulations resume from their last checkpointed frame.
-
-Every farm-backed command additionally takes the same execution-mode
-flags: ``--incremental``/``--no-incremental`` (draw-level incremental
-replay, default ``REPRO_INCREMENTAL``) and ``--shard-frames`` (the farm's
-frame-sharding policy).
+simulations resume from their last checkpointed frame.  Every
+farm-backed command, and ``serve``, also takes ``--shard-frames`` (the
+farm's frame-sharding policy).
 """
 
 from __future__ import annotations
@@ -113,7 +110,6 @@ def _cmd_simulate(args) -> int:
         use_cache=not args.no_cache,
         strict=not args.keep_going,
         shard_frames=args.shard_frames,
-        incremental=args.incremental,
     )
     result = farm.run_one(JobSpec("sim", args.workload, args.frames))
     stats = result.stats
@@ -171,37 +167,6 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    """The uniform execution-mode flags every farm-backed command takes.
-
-    Same names and defaults everywhere: ``--incremental`` /
-    ``--no-incremental`` select draw-level incremental replay (default: the
-    ``REPRO_INCREMENTAL`` environment setting, off when unset) and
-    ``--shard-frames`` sets the farm's frame-sharding policy.
-    """
-    parser.add_argument(
-        "--incremental",
-        dest="incremental",
-        action="store_true",
-        default=None,
-        help="reuse unchanged frames from the draw-level content cache "
-        "(bit-identical; default: $REPRO_INCREMENTAL, off when unset)",
-    )
-    parser.add_argument(
-        "--no-incremental",
-        dest="incremental",
-        action="store_false",
-        help="force full re-simulation of every frame",
-    )
-    parser.add_argument(
-        "--shard-frames",
-        type=int,
-        default=None,
-        help="farm frame-sharding policy (default automatic, 0 off; pin to "
-        "a fixed value for results comparable across --jobs widths)",
-    )
-
-
 def _add_farm_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
@@ -225,7 +190,13 @@ def _add_farm_flags(parser: argparse.ArgumentParser) -> None:
         help="on permanent job failure, return the completed results plus "
         "a failure report instead of aborting the batch",
     )
-    _add_execution_flags(parser)
+    parser.add_argument(
+        "--shard-frames",
+        type=int,
+        default=None,
+        help="farm frame-sharding policy (default automatic, 0 off; pin to "
+        "a fixed value for results comparable across --jobs widths)",
+    )
 
 
 def _add_measurement_flags(
@@ -287,7 +258,6 @@ def _make_runner(args) -> Runner:
         cache_dir=args.cache_dir,
         strict=not args.keep_going,
         shard_frames=args.shard_frames,
-        incremental=args.incremental,
     )
 
 
@@ -314,11 +284,7 @@ def _cmd_tables(args) -> int:
             return 2
     _prefetch_for(runner, selected, _TABLE_KINDS)
     for name in selected:
-        func = tables.ALL_TABLES[name]
-        try:
-            comparison = func(runner=runner)  # type: ignore[call-arg]
-        except TypeError:
-            comparison = func()
+        comparison = tables.ALL_TABLES[name](runner=runner)
         text = comparison.as_text()
         (out_dir / f"{name}.txt").write_text(text + "\n")
         print(text)
@@ -337,11 +303,7 @@ def _cmd_figures(args) -> int:
             return 2
     _prefetch_for(runner, selected, _FIGURE_KINDS)
     for name in selected:
-        func = figures.ALL_FIGURES[name]
-        try:
-            figure = func(runner=runner)  # type: ignore[call-arg]
-        except TypeError:
-            figure = func()
+        figure = figures.ALL_FIGURES[name](runner=runner)
         (out_dir / f"{name}.txt").write_text(figure.as_text() + "\n")
         (out_dir / f"{name}.csv").write_text(figure.as_csv() + "\n")
         print(figure.as_text())
@@ -410,8 +372,6 @@ def _cmd_bench(args) -> int:
         jobs=tuple(args.jobs),
         include_farm=not args.skip_farm,
         repeats=args.repeats,
-        incremental_frames=args.incremental_frames,
-        include_incremental=args.incremental is not False,
     )
     out = write_bench(doc, args.out)
     speedup = doc["speedup"]["fragments_per_s"]
@@ -444,17 +404,6 @@ def _cmd_bench(args) -> int:
             f"observer: {observer['seconds']}s traced "
             f"({observer['spans']} spans), "
             f"{observer['overhead_pct']:+.1f}% vs untraced"
-        )
-    incremental = doc.get("incremental")
-    if incremental:
-        print(
-            f"incremental ({incremental['frames']} frames): "
-            f"full {incremental['full']['seconds']}s, "
-            f"cold {incremental['cold']['seconds']}s, "
-            f"warm {incremental['warm']['seconds']}s "
-            f"({incremental['speedup']:.2f}x, hit rate "
-            f"{incremental['warm']['hit_rate']:.0%}, "
-            f"identical={incremental['identical']})"
         )
     failed = False
     if (
@@ -494,30 +443,6 @@ def _cmd_bench(args) -> int:
                 file=sys.stderr,
             )
             failed = True
-    if args.min_incremental_speedup is not None:
-        if not incremental:
-            print(
-                "FAIL: --min-incremental-speedup given but the incremental "
-                "block was not measured (--no-incremental?)",
-                file=sys.stderr,
-            )
-            failed = True
-        else:
-            if not incremental["identical"]:
-                print(
-                    "FAIL: incremental replay diverged from full "
-                    "re-simulation",
-                    file=sys.stderr,
-                )
-                failed = True
-            if incremental["speedup"] < args.min_incremental_speedup:
-                print(
-                    f"FAIL: warm incremental speedup "
-                    f"{incremental['speedup']:.2f}x below required "
-                    f"{args.min_incremental_speedup:.2f}x",
-                    file=sys.stderr,
-                )
-                failed = True
     return 1 if failed else 0
 
 
@@ -564,7 +489,6 @@ def _cmd_observe(args) -> int:
             use_cache=not args.no_cache,
             strict=not args.keep_going,
             shard_frames=args.shard_frames,
-            incremental=args.incremental,
             telemetry=FarmTelemetry(registry=observe.registry()),
         )
         with farm:
@@ -695,7 +619,6 @@ def _cmd_serve(args) -> int:
         ),
         cache_dir=args.cache_dir,
         verbose_events=args.verbose_events,
-        incremental=args.incremental,
         shard_frames=args.shard_frames,
         default_deadline_s=args.default_deadline,
         journal=not args.no_journal,
@@ -969,20 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) if the traced run is more than this many "
         "percent slower than the untraced run",
     )
-    p.add_argument(
-        "--incremental-frames",
-        type=int,
-        default=20,
-        help="timedemo length for the incremental cold/warm measurement",
-    )
-    p.add_argument(
-        "--min-incremental-speedup",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the warm incremental replay is not at least "
-        "this many times faster than full re-simulation (or diverges)",
-    )
-    _add_execution_flags(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
@@ -1138,7 +1047,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         help="seconds a connection may take to deliver a request head (408)",
     )
-    _add_execution_flags(p)
+    p.add_argument(
+        "--shard-frames",
+        type=int,
+        default=None,
+        help="lane farms' frame-sharding policy (default automatic, 0 off)",
+    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -21,7 +21,6 @@ HISTORY_KEYS = {
         "per_triangle.fragments_per_s",
         "quadstream.fragments_per_s",
         "speedup.fragments_per_s",
-        "incremental.speedup",
         "observer.overhead_pct",
         "farm.serial.seconds",
     ),

@@ -425,10 +425,7 @@ def cells_from_tables(
         func = tables.ALL_TABLES.get(name)
         if func is None:
             raise ValueError(f"unknown table {name!r}")
-        try:
-            comparison = func(runner=runner)  # type: ignore[call-arg]
-        except TypeError:
-            comparison = func()
+        comparison = func(runner=runner)
         headers = comparison.headers
         for row_no, row in enumerate(comparison.rows):
             row_label = str(row[0])

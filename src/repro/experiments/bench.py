@@ -1,6 +1,6 @@
 """Pipeline throughput benchmark: per-triangle vs QuadStream, serial vs farm.
 
-Writes ``BENCH_pipeline.json`` — the perf trajectory's data points.  Three
+Writes ``BENCH_pipeline.json`` — the perf trajectory's data points.  Two
 measurements:
 
 * **pipeline** — one workload's full-profile trace replayed through the
@@ -9,11 +9,6 @@ measurements:
   bit-identical statistics (``quadstream.identical`` records the check),
   so the triangles/s and fragments/s ratios are a pure execution-strategy
   speedup.
-* **incremental** — one sim-profile timedemo replayed three ways: full
-  re-simulation, cold incremental (empty draw cache), and warm incremental
-  (every unchanged frame reused from the per-draw content-addressed
-  cache).  The warm speedup is only reported alongside ``identical``,
-  which asserts bit-identity against the full run first.
 * **farm** — the three simulated engines' reduced-profile jobs run through
   the execution farm serially (``jobs=1``) and at each requested parallel
   width, each measurement against its own fresh artifact store, so the
@@ -207,82 +202,6 @@ def _measure_farm(specs: list, width: int) -> dict:
     }
 
 
-def _run_incremental(name: str, frames: int, repeats: int = 3) -> dict:
-    """Full vs cold vs warm incremental replay of one sim-profile timedemo.
-
-    * **full** — plain :meth:`GpuSimulator.run_trace`, min-of-N.
-    * **cold** — the same frames through :func:`run_trace_incremental`
-      against an empty draw cache (every frame simulated and recorded).
-    * **warm** — again, with a fresh simulator and fresh in-memory cache
-      over the *same* store: every unchanged frame replays from disk.
-
-    The speedup the ``--min-incremental-speedup`` gate checks is
-    ``full / warm``, and ``identical`` asserts the warm (and cold) results
-    are bit-identical to full re-simulation before any timing is trusted.
-    """
-    from repro.farm.chaos import results_equal
-    from repro.farm.drawcache import job_drawcache, run_trace_incremental
-    from repro.farm.job import JobSpec
-    from repro.farm.store import ArtifactStore
-
-    workload = build_workload(name, sim=True)
-    spec = JobSpec("sim", name, frames)
-    trace = workload.trace(frames=frames)
-
-    full_s = float("inf")
-    full_result = None
-    for _ in range(max(1, repeats)):
-        sim = workload.simulator()
-        start = time.perf_counter()
-        full_result = sim.run_trace(trace, max_frames=frames)
-        full_s = min(full_s, time.perf_counter() - start)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-inc-") as tmp:
-        store = ArtifactStore(tmp)
-        cache = job_drawcache(spec, store)
-        sim = workload.simulator()
-        start = time.perf_counter()
-        cold_result = run_trace_incremental(
-            sim, trace, cache, max_frames=frames
-        )
-        cold_s = time.perf_counter() - start
-        cold = {"seconds": round(cold_s, 3), "hits": cache.hits,
-                "misses": cache.misses}
-
-        warm_s = float("inf")
-        warm_result = None
-        warm = {}
-        for _ in range(max(1, repeats)):
-            cache = job_drawcache(spec, store)  # fresh counters, same disk
-            sim = workload.simulator()
-            start = time.perf_counter()
-            warm_result = run_trace_incremental(
-                sim, trace, cache, max_frames=frames
-            )
-            elapsed = time.perf_counter() - start
-            if elapsed < warm_s:
-                warm_s = elapsed
-                warm = {
-                    "seconds": round(elapsed, 3),
-                    "hits": cache.hits,
-                    "misses": cache.misses,
-                    "hit_rate": round(cache.hit_rate, 4),
-                }
-
-    identical = results_equal(full_result, cold_result) and results_equal(
-        full_result, warm_result
-    )
-    return {
-        "workload": name,
-        "frames": frames,
-        "full": {"seconds": round(full_s, 3)},
-        "cold": cold,
-        "warm": warm,
-        "speedup": round(full_s / warm_s, 2) if warm_s else float("inf"),
-        "identical": identical,
-    }
-
-
 def _run_farm(frames: int, jobs: Sequence[int]) -> dict:
     from repro.experiments import paper
     from repro.farm import JobSpec
@@ -312,8 +231,6 @@ def bench_pipeline(
     jobs: Sequence[int] | int = (2, 4),
     include_farm: bool = True,
     repeats: int = 3,
-    incremental_frames: int = 20,
-    include_incremental: bool = True,
 ) -> dict:
     """Run the measurements and return the ``BENCH_pipeline.json`` document."""
     if isinstance(jobs, int):
@@ -344,10 +261,6 @@ def bench_pipeline(
     observer = _run_observed(workload, frames=frames, repeats=repeats)
     doc["stages"] = observer.pop("stages")
     doc["observer"] = observer
-    if include_incremental:
-        doc["incremental"] = _run_incremental(
-            workload, incremental_frames, repeats=repeats
-        )
     if include_farm:
         doc["farm"] = _run_farm(farm_frames, jobs)
     return doc

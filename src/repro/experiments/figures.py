@@ -105,11 +105,12 @@ def figure3(runner: Runner | None = None) -> Figure:
     return fig
 
 
-def figure4() -> Figure:
+def figure4(runner: Runner | None = None) -> Figure:
     """Fig. 4: vertex sharing of the triangle primitives (the diagram).
 
     The paper's figure is an illustration; we reproduce the quantity it
-    illustrates — indices needed per triangle for each topology.
+    illustrates — indices needed per triangle for each topology, so no
+    measurement (and no ``runner``) is involved.
     """
     from repro.geometry.primitives import PrimitiveType, indices_for_triangles
 

@@ -68,9 +68,6 @@ class Runner:
     is the farm's frame-sharding policy (``None`` automatic, ``0`` off,
     ``k`` fixed slice count — see :class:`~repro.farm.executor.Farm`): with
     ``jobs > 1`` even a single long simulation fans out across workers.
-    ``incremental`` enables draw-level incremental replay
-    (:mod:`repro.farm.drawcache`; ``None`` resolves ``REPRO_INCREMENTAL``)
-    — bit-identical results, unchanged cache keys.
     """
 
     def __init__(
@@ -82,7 +79,6 @@ class Runner:
         cache_dir: str | None = None,
         strict: bool = True,
         shard_frames: int | None = None,
-        incremental: bool | None = None,
     ):
         self.config = config or ExperimentConfig()
         if farm is None:
@@ -94,7 +90,6 @@ class Runner:
                 use_cache=use_cache,
                 strict=strict,
                 shard_frames=shard_frames,
-                incremental=incremental,
             )
         self.farm = farm
         self._results: dict[JobSpec, Any] = {}
@@ -179,38 +174,6 @@ class Runner:
             frames if frames is not None else self.config.api_frames,
         )
         return self._get(job)
-
-    def characterize(
-        self,
-        workload: str | GameWorkload,
-        config: GpuConfig | None = None,
-        frames: int | None = None,
-        incremental: bool | None = True,
-    ) -> SimulationResult:
-        """:meth:`simulate` with draw-level incremental replay (default on).
-
-        Frames whose draw streams and bound state are unchanged — across
-        reruns, budgets, and ``--jobs`` widths — reuse their recorded
-        contributions from the draw cache (:mod:`repro.farm.drawcache`)
-        instead of re-simulating, which makes long timedemos routine.
-        Results are bit-identical to full re-simulation and land under the
-        same artifact key.  ``incremental=None`` keeps the runner's farm
-        setting; ``False`` is exactly :meth:`simulate`.
-        """
-        name = workload if isinstance(workload, str) else workload.name
-        job = JobSpec(
-            "sim",
-            name,
-            frames if frames is not None else self.config.sim_frames,
-            config=config,
-        )
-        previous = self.farm.incremental
-        if incremental is not None:
-            self.farm.incremental = bool(incremental)
-        try:
-            return self._get(job)
-        finally:
-            self.farm.incremental = previous
 
     def prefetch(
         self,
@@ -306,29 +269,3 @@ def api_stats(
         stats = repro.api_stats("UT2004/Primeval", frames=60)
     """
     return default_runner().api_stats(workload, frames=frames)
-
-
-def characterize(
-    workload: str | GameWorkload,
-    config: GpuConfig | None = None,
-    frames: int | None = None,
-    incremental: bool | None = True,
-) -> SimulationResult:
-    """Characterize a timedemo with frame-coherent incremental simulation.
-
-    ::
-
-        import repro
-        result = repro.characterize("UT2004/Primeval", frames=100)
-
-    Like :func:`simulate`, but replays through the draw-level content
-    cache by default: re-runs (longer budgets, other ``--jobs`` widths,
-    warm CI passes) reuse every unchanged frame's recorded statistics,
-    quad fates, and cache streams, re-simulating only deltas — bit-identical
-    to full simulation, under the same artifact keys.  ``incremental=False``
-    forces full replay; ``None`` keeps the runner's farm setting (the
-    ``REPRO_INCREMENTAL`` environment default).
-    """
-    return default_runner().characterize(
-        workload, config=config, frames=frames, incremental=incremental
-    )

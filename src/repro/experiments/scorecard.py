@@ -122,14 +122,10 @@ def score_comparison(name: str, comparison: Comparison) -> ExhibitScore:
 def build_scorecard(runner: Runner | None = None) -> list[ExhibitScore]:
     """Score every table against the paper (figures are shape-only)."""
     runner = runner or default_runner()
-    scores = []
-    for name, func in tables.ALL_TABLES.items():
-        try:
-            comparison = func(runner=runner)  # type: ignore[call-arg]
-        except TypeError:
-            comparison = func()
-        scores.append(score_comparison(name, comparison))
-    return scores
+    return [
+        score_comparison(name, func(runner=runner))
+        for name, func in tables.ALL_TABLES.items()
+    ]
 
 
 def scorecard_json(scores: list[ExhibitScore]) -> str:
@@ -195,25 +191,17 @@ def experiments_markdown(
             "",
         ]
     )
-    for name, func in tables.ALL_TABLES.items():
-        try:
-            comparison = func(runner=runner)  # type: ignore[call-arg]
-        except TypeError:
-            comparison = func()
+    for func in tables.ALL_TABLES.values():
         lines.append("```")
-        lines.append(comparison.as_text())
+        lines.append(func(runner=runner).as_text())
         lines.append("```")
         lines.append("")
     if include_figures:
         lines.append("## Figures")
         lines.append("")
-        for name, func in figures.ALL_FIGURES.items():
-            try:
-                figure = func(runner=runner)  # type: ignore[call-arg]
-            except TypeError:
-                figure = func()
+        for func in figures.ALL_FIGURES.values():
             lines.append("```")
-            lines.append(figure.as_text())
+            lines.append(func(runner=runner).as_text())
             lines.append("```")
             lines.append("")
     return "\n".join(lines)

@@ -38,8 +38,13 @@ def table1(runner: Runner | None = None) -> Comparison:
     return comparison
 
 
-def table2(config: GpuConfig | None = None) -> Comparison:
-    """Table II: ATTILA configuration vs the reference R520."""
+def table2(
+    runner: Runner | None = None, config: GpuConfig | None = None
+) -> Comparison:
+    """Table II: ATTILA configuration vs the reference R520.
+
+    A configuration exhibit: it reads ``config``, never ``runner``.
+    """
     config = config or GpuConfig.r520()
     comparison = Comparison(
         "Table II",
@@ -133,7 +138,7 @@ def table5(runner: Runner | None = None) -> Comparison:
     return comparison
 
 
-def table6() -> Comparison:
+def table6(runner: Runner | None = None) -> Comparison:
     """Table VI: system bus bandwidths (reference model, no measurement)."""
     comparison = Comparison(
         "Table VI",

@@ -4,13 +4,12 @@ Runs every fault class the injector knows (worker crash, hang, transient
 exception, artifact corruption, checkpoint truncation, trace corruption,
 ``ENOSPC``, read-only cache, native-compile failure, a strict/graceful-
 degradation check, plus frame-shard recovery: a worker dying mid-shard and
-a shard artifact corrupted between worker save and parent harvest, plus
-draw-cache staleness and truncation under incremental replay) against real
-farm batches, and asserts that the recovered results are **bit-identical**
-to a fault-free reference run — the same equality the tier-1 suite demands
-of parallel-vs-serial execution.  Corruption scenarios additionally assert
-the damaged files ended up in quarantine rather than being silently
-reused.
+a shard artifact corrupted between worker save and parent harvest) against
+real farm batches, and asserts that the recovered results are
+**bit-identical** to a fault-free reference run — the same equality the
+tier-1 suite demands of parallel-vs-serial execution.  Corruption scenarios
+additionally assert the damaged files ended up in quarantine rather than
+being silently reused.
 
 Every scenario runs in a throwaway cache directory with a fresh
 :class:`~repro.farm.faults.FaultPlan` installed through the environment, so
@@ -33,7 +32,7 @@ from repro.farm import faults
 from repro.farm.checkpoint import clear_trace_cache
 from repro.farm.executor import Farm, FarmError
 from repro.farm.job import JobSpec, api_job, sim_job
-from repro.farm.store import ArtifactStore, unseal, write_sealed
+from repro.farm.store import ArtifactStore
 from repro.util.tables import format_table
 
 WORKLOAD = "UT2004/Primeval"
@@ -304,69 +303,6 @@ def _corrupted_shard_artifact(ctx: _Context) -> str:
     return "corrupt shard artifact quarantined; recomputed slice merged clean"
 
 
-def _stale_drawcache(ctx: _Context) -> str:
-    """A draw-cache record goes stale (its recorded bound-state keys no
-    longer match the stream); the per-draw key mismatch must invalidate the
-    record and re-simulate the frame, never reuse it."""
-    import pickle
-
-    job = sim_job(WORKLOAD, 2)
-    farm = ctx.farm("stale-drawcache", jobs=1, shard_frames=0, incremental=True)
-    first = farm.run([job])
-    _check_match(ctx.reference, first, [job])
-    store = farm.store
-    records = sorted(store.drawcache_dir.glob("*.pkl"))
-    if not records:
-        raise ChaosFailure("incremental run recorded no draw-cache entries")
-    target = records[0]
-    header, payload = unseal(target.read_bytes())
-    record = pickle.loads(payload)
-    record.draw_keys = tuple("0" * 24 for _ in record.draw_keys)
-    blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    write_sealed(target, header, blob)  # the seal stays valid
-    # Drop the run-level artifact so the retry re-executes through the
-    # (tampered) draw cache instead of loading the finished result.
-    store.artifact_path(job).unlink(missing_ok=True)
-    warm = ctx.farm("stale-drawcache", jobs=1, shard_frames=0, incremental=True)
-    recovered = warm.run([job])
-    _check_match(ctx.reference, recovered, [job])
-    if not any(p.name == target.name for p in warm.store.quarantined_files()):
-        raise ChaosFailure("stale draw-cache record was not invalidated")
-    return (
-        "stale record invalidated on per-draw key mismatch; "
-        "re-simulated bit-identical"
-    )
-
-
-def _corrupt_drawcache(ctx: _Context) -> str:
-    """A draw-cache record is truncated on disk; the checksum check must
-    quarantine it and re-simulate the frame, never reuse it."""
-    job = sim_job(WORKLOAD, 2)
-    farm = ctx.farm(
-        "corrupt-drawcache", jobs=1, shard_frames=0, incremental=True
-    )
-    first = farm.run([job])
-    _check_match(ctx.reference, first, [job])
-    store = farm.store
-    records = sorted(store.drawcache_dir.glob("*.pkl"))
-    if not records:
-        raise ChaosFailure("incremental run recorded no draw-cache entries")
-    target = records[-1]
-    target.write_bytes(target.read_bytes()[: max(1, target.stat().st_size // 3)])
-    store.artifact_path(job).unlink(missing_ok=True)
-    warm = ctx.farm(
-        "corrupt-drawcache", jobs=1, shard_frames=0, incremental=True
-    )
-    recovered = warm.run([job])
-    _check_match(ctx.reference, recovered, [job])
-    if not any(p.name == target.name for p in warm.store.quarantined_files()):
-        raise ChaosFailure("truncated draw-cache record was not quarantined")
-    return (
-        "truncated record quarantined on checksum mismatch; "
-        "re-simulated bit-identical"
-    )
-
-
 SCENARIOS: dict[str, Callable[[_Context], str]] = {
     "crash": _crash,
     "hang": _hang,
@@ -380,8 +316,6 @@ SCENARIOS: dict[str, Callable[[_Context], str]] = {
     "graceful-degradation": _graceful_degradation,
     "worker-death-mid-shard": _worker_death_mid_shard,
     "corrupted-shard-artifact": _corrupted_shard_artifact,
-    "stale-drawcache": _stale_drawcache,
-    "corrupt-drawcache": _corrupt_drawcache,
 }
 
 

@@ -130,7 +130,6 @@ def run_checkpointed(
     checkpoint_every: int = 1,
     on_frame=None,
     trace: Trace | None = None,
-    incremental: bool = False,
     workload: GameWorkload | None = None,
 ) -> SimulationResult:
     """Execute a sim/geometry job, checkpointing every N completed frames.
@@ -144,12 +143,6 @@ def run_checkpointed(
     For a frame shard, the replay fast-forwards the API state machine over
     the ``job.frame_offset`` frames before the slice (no simulation work)
     and then simulates ``job.frames`` frames of the shared timedemo.
-
-    ``incremental=True`` replays the slice through the draw-level content
-    cache (:mod:`repro.farm.drawcache`): frames whose keys are already
-    recorded apply their stored contributions instead of re-simulating,
-    bit-identically.  An execution strategy only — it never changes the
-    job's identity, artifact key, or result.
 
     ``workload`` is the job's built workload; without one it is built here.
     """
@@ -182,28 +175,14 @@ def run_checkpointed(
             if on_frame is not None:
                 on_frame(simulator, frames_done)
 
-        if incremental:
-            from repro.farm.drawcache import job_drawcache, run_trace_incremental
-
-            result = run_trace_incremental(
-                sim,
-                trace,
-                job_drawcache(job, store),
-                max_frames=job.frames,
-                fragment_stages=job.fragment_stages,
-                resume=resume,
-                start_frame=job.frame_offset,
-                on_frame=hook,
-            )
-        else:
-            result = sim.run_trace(
-                trace,
-                max_frames=job.frames,
-                fragment_stages=job.fragment_stages,
-                resume=resume,
-                start_frame=job.frame_offset,
-                on_frame=hook,
-            )
+        result = sim.run_trace(
+            trace,
+            max_frames=job.frames,
+            fragment_stages=job.fragment_stages,
+            resume=resume,
+            start_frame=job.frame_offset,
+            on_frame=hook,
+        )
 
     if checkpointing:
         store.clear_checkpoint(job)

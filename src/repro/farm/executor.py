@@ -159,17 +159,10 @@ class JobOutcome:
     phases: dict[str, float] = field(default_factory=dict)
 
 
-def incremental_default() -> bool:
-    """Resolve the ``REPRO_INCREMENTAL`` environment override (off default)."""
-    value = os.environ.get("REPRO_INCREMENTAL", "").strip().lower()
-    return value in ("1", "true", "yes", "on")
-
-
 def run_job(
     job: JobSpec,
     cache_dir: str | None = None,
     checkpoint_every: int = 1,
-    incremental: bool = False,
 ) -> JobOutcome:
     """Compute one job end-to-end (the worker-process entry point).
 
@@ -179,10 +172,7 @@ def run_job(
     passes it to trace resolution and to the run.  The timedemo is
     resolved through the shared trace store / worker-local cache
     (:func:`repro.farm.checkpoint.job_trace`), so it is generated once per
-    demo, not once per shard.
-    ``incremental=True`` routes sim/geometry replay through the draw-level
-    content cache (:mod:`repro.farm.drawcache`) — bit-identical, and never
-    part of the job's artifact key.  Fault-injection hooks fire here so the
+    demo, not once per shard.  Fault-injection hooks fire here so the
     chaos suite can kill, hang, or trip the worker at a controlled point.
     """
     faults.reset_native_if_planned()
@@ -213,8 +203,7 @@ def run_job(
             result = run_api_job(job, store, trace=trace, workload=workload)
         else:
             result = run_checkpointed(
-                job, store, checkpoint_every, trace=trace,
-                incremental=incremental, workload=workload,
+                job, store, checkpoint_every, trace=trace, workload=workload
             )
         phases["simulate"] = time.perf_counter() - mark
         wall_s = time.perf_counter() - start
@@ -244,7 +233,6 @@ def _pool_entry(
     cache_dir: str | None,
     checkpoint_every: int,
     started_beacon: str | None = None,
-    incremental: bool = False,
 ):
     """Pool-side wrapper: run the worker, strip stored results for transport.
 
@@ -252,8 +240,6 @@ def _pool_entry(
     plus scalars) crosses the process boundary; the parent reloads the
     result from the store.  Custom workers and unsaved results (no cache
     dir, unwritable volume) pass through whole.
-    ``incremental`` is forwarded to the standard worker only — custom
-    workers keep their three-argument contract.
 
     The *started_beacon* file is touched before the worker runs: if this
     unit later comes back :class:`BrokenProcessPool`, the parent uses the
@@ -265,10 +251,7 @@ def _pool_entry(
             open(started_beacon, "w").close()
         except OSError:
             pass  # parent falls back to charging the attempt
-    if worker is run_job:
-        outcome = worker(job, cache_dir, checkpoint_every, incremental)
-    else:
-        outcome = worker(job, cache_dir, checkpoint_every)
+    outcome = worker(job, cache_dir, checkpoint_every)
     if (
         worker is run_job
         and cache_dir is not None
@@ -313,7 +296,6 @@ class Farm:
         backoff_max: float = 2.0,
         shard_frames: int | None = None,
         oversubscribe: bool = False,
-        incremental: bool | None = None,
     ):
         self.store = store if store is not None else ArtifactStore()
         self.jobs = int(jobs) if jobs else (os.cpu_count() or 1)
@@ -340,13 +322,6 @@ class Farm:
         #: the pool; ``0`` = never shard; ``k`` = split every shardable job
         #: into (up to) ``k`` frame slices.
         self.shard_frames = shard_frames
-        #: Draw-level incremental replay for sim/geometry jobs.  ``None``
-        #: resolves the ``REPRO_INCREMENTAL`` env override; an execution
-        #: strategy only — results and artifact keys are unchanged, so it
-        #: is never part of job identity.
-        self.incremental = (
-            incremental_default() if incremental is None else bool(incremental)
-        )
         self.last_report = FailureReport()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_finalizer: weakref.finalize | None = None
@@ -658,13 +633,7 @@ class Farm:
         for job in batch:
             start = time.perf_counter()
             try:
-                if worker is run_job:
-                    outcome = worker(
-                        job, self.cache_dir, self.checkpoint_every,
-                        self.incremental,
-                    )
-                else:
-                    outcome = worker(job, self.cache_dir, self.checkpoint_every)
+                outcome = worker(job, self.cache_dir, self.checkpoint_every)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
@@ -731,7 +700,6 @@ class Farm:
                             self.cache_dir,
                             self.checkpoint_every,
                             beacons.get(job),
-                            self.incremental,
                         )
                     ] = job
             except (BrokenProcessPool, RuntimeError):

@@ -127,36 +127,6 @@ class JobSpec:
         blob = json.dumps(self.fingerprint(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:24]
 
-    # -- draw-level keys -------------------------------------------------
-    def draw_base_fingerprint(self) -> dict:
-        """Base fingerprint of this job's draw-level cache keys.
-
-        Everything that determines a frame's simulation *besides* its call
-        stream and entry state: the workload spec, seed, simulation
-        profile, pipeline depth, GPU configuration, and code version.
-        Deliberately narrower than :meth:`fingerprint` — no frame budget,
-        offset, or demo length — so shards at every ``--jobs`` width and
-        demos of every length chain identical per-frame keys off it (see
-        :mod:`repro.farm.drawcache`).
-        """
-        from repro.workloads.registry import workload as lookup
-
-        spec = lookup(self.workload)
-        return {
-            "workload": self.workload,
-            "sim_profile": self.sim_profile,
-            "fragment_stages": self.fragment_stages,
-            "seed": self.seed if self.seed is not None else spec.seed,
-            "spec": _canonical(spec),
-            "config": _canonical(self.config) if self.config else "default",
-            "code": code_version(),
-        }
-
-    def draw_base_key(self) -> str:
-        """Content hash scoping this job's draw-cache entries."""
-        blob = json.dumps(self.draw_base_fingerprint(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:24]
-
     # -- traces ----------------------------------------------------------
     def trace_fingerprint(self) -> dict:
         """Invalidation surface of the generated trace itself.

@@ -20,13 +20,9 @@ results themselves, which makes the merge a pure function of its inputs:
 it is associative (merging merged halves equals merging all slices) and
 order-invariant (slices may arrive in any order), properties
 ``tests/test_merge.py`` checks directly.  Inputs are never mutated.
-
-Incremental replay (:mod:`repro.farm.drawcache`) composes transparently:
-a slice whose frames were reused from the draw cache is shaped exactly
-like a freshly simulated slice — same per-frame records, same memory
-deltas, and the same end-of-slice cache contents (reuse installs the
-recorded contents) — so reused and fresh slices fold together in any
-order under the same invariants.
+Frame shards are the farm's one per-frame result unit; in-slice
+checkpoints (:mod:`repro.farm.checkpoint`) only resume an interrupted
+slice.
 """
 
 from __future__ import annotations

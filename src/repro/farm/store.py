@@ -8,8 +8,6 @@ Layout under the cache root (``.repro-cache/`` by default,
     checkpoints/<key>.ckpt     mid-run simulator state (sim jobs)
     traces/<tkey>.pkl          generated API trace, shared by every job and
                                frame shard that replays the same timedemo
-    drawcache/<fkey>.pkl       draw-level frame records for incremental
-                               simulation (see :mod:`repro.farm.drawcache`)
     quarantine/                damaged files moved aside, never reused
 
 Every entry is one sealed file (:func:`write_sealed`): a SHA-256 line over
@@ -32,11 +30,11 @@ silently reused and never silently deleted.
 Workers persist their results here and hand the parent only the key, so
 results cross the process boundary through the store, not the result pipe.
 
-Capacity is managed by :meth:`ArtifactStore.enforce_quota`: artifacts,
-traces and draw-cache records are evicted least-recently-used first
-(recency = the entry's own mtime, refreshed on every artifact load hit)
-until the store fits a byte budget, skipping pinned keys and never
-touching checkpoints or ``quarantine/``.
+Capacity is managed by :meth:`ArtifactStore.enforce_quota`: artifacts
+and traces are evicted least-recently-used first (recency = the entry's
+own mtime, refreshed on every artifact load hit) until the store fits a
+byte budget, skipping pinned keys and never touching checkpoints or
+``quarantine/``.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ DEFAULT_DIRNAME = ".repro-cache"
 
 #: Store directories the quota counts: everything regenerable.  In-flight
 #: checkpoints and quarantined evidence are never evicted.
-QUOTA_DIRS = ("artifacts", "traces", "drawcache")
+QUOTA_DIRS = ("artifacts", "traces")
 
 #: Everything unpickling truncated/garbage/foreign bytes is known to raise.
 #: ``MemoryError`` belongs here: a corrupted length prefix can demand an
@@ -175,11 +173,6 @@ class ArtifactStore:
     @property
     def trace_dir(self) -> pathlib.Path:
         return self.root / "traces"
-
-    @property
-    def drawcache_dir(self) -> pathlib.Path:
-        """Draw-level frame records (see :mod:`repro.farm.drawcache`)."""
-        return self.root / "drawcache"
 
     def artifact_path(self, job: JobSpec) -> pathlib.Path:
         return self.artifact_dir / f"{job.key()}.pkl"
@@ -440,7 +433,7 @@ class ArtifactStore:
         return sorted(self.checkpoint_dir.glob("*.ckpt"))
 
     def total_bytes(self) -> int:
-        """Bytes the quota counts: artifacts, traces and draw-cache records."""
+        """Bytes the quota counts: artifacts and traces."""
         return sum(f["bytes"] for f in self.families())
 
     # -- quota / LRU eviction -------------------------------------------
@@ -449,8 +442,8 @@ class ArtifactStore:
 
         A *family* is the files of one directory under :data:`QUOTA_DIRS`
         that share a stem (everything before the first dot): an artifact
-        and its span sidecar, one trace, one draw-cache record — and files
-        an older store layout left under the same key.  Recency is the
+        and its span sidecar, one trace — and files an older store layout
+        left under the same key.  Recency is the
         newest member's mtime, written at save time and refreshed on every
         artifact load, so sorting by it is LRU order.  Quarantined files are
         not families — they are evidence, never candidates for reuse *or*
@@ -539,7 +532,6 @@ class ArtifactStore:
             self.artifact_dir,
             self.checkpoint_dir,
             self.trace_dir,
-            self.drawcache_dir,
             self.quarantine_dir,
         ):
             if not directory.is_dir():

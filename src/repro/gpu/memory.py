@@ -68,17 +68,3 @@ class MemoryController:
         if total == 0:
             return {c: 0.0 for c in MemClient}
         return {c: 100.0 * self.client_bytes(c) / total for c in MemClient}
-
-    def snapshot(self) -> "MemoryController":
-        """A copy of the current counters (for per-frame deltas)."""
-        copy = MemoryController()
-        copy.reads = dict(self.reads)
-        copy.writes = dict(self.writes)
-        return copy
-
-    def delta_since(self, earlier: "MemoryController") -> "MemoryController":
-        delta = MemoryController()
-        for client in MemClient:
-            delta.reads[client] = self.reads[client] - earlier.reads[client]
-            delta.writes[client] = self.writes[client] - earlier.writes[client]
-        return delta

@@ -11,7 +11,6 @@ the flow that produces the paper's Doom3/Quake4 numbers.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,9 +98,6 @@ class GpuSimulator:
         self.machine = StateMachine()
         self.stats = GpuStats()
         self.frame_stats: list[FrameGpuStats] = []
-        # Per-draw framebuffer footprint log, active only while a frame is
-        # captured for the draw cache (see run_frame_captured).
-        self._region_log: list | None = None
 
     # -- public API -----------------------------------------------------
     @property
@@ -210,93 +206,6 @@ class GpuSimulator:
             images=images or [],
         )
 
-    # -- draw-cache capture / reuse --------------------------------------
-    def _cache_map(self) -> dict[str, Cache]:
-        """The named caches of :meth:`result`, for delta capture/apply."""
-        return {
-            "zstencil": self.zstencil.cache,
-            "color": self.color_stage.cache,
-            "texture_l0": self.texture_unit.l0,
-            "texture_l1": self.texture_unit.l1,
-        }
-
-    def run_frame_captured(
-        self,
-        frame: Frame,
-        fragment_stages: bool = True,
-        capture_image: bool = False,
-    ) -> tuple[FrameGpuStats, dict]:
-        """:meth:`run_frame` plus a reusable capture of its contributions.
-
-        Returns ``(fstats, capture)`` where ``capture`` holds the frame's
-        per-client memory deltas, per-cache counter deltas plus end-of-frame
-        cache contents, the per-draw framebuffer footprints, and (when
-        requested) the rendered image — the payload of a
-        :class:`~repro.farm.drawcache.FrameRecord`.  The simulation itself
-        is byte-for-byte :meth:`run_frame`; capture only observes.
-        """
-        mem_before = self.memory.snapshot()
-        caches = self._cache_map()
-        counters_before = {
-            name: (c.hits, c.misses, c.accesses) for name, c in caches.items()
-        }
-        regions: list = []
-        self._region_log = regions
-        try:
-            fstats = self.run_frame(frame, fragment_stages=fragment_stages)
-        finally:
-            self._region_log = None
-        mem_delta = self.memory.delta_since(mem_before)
-        capture = {
-            "memory_reads": dict(mem_delta.reads),
-            "memory_writes": dict(mem_delta.writes),
-            "cache_deltas": {
-                name: (
-                    c.hits - counters_before[name][0],
-                    c.misses - counters_before[name][1],
-                    c.accesses - counters_before[name][2],
-                )
-                for name, c in caches.items()
-            },
-            "cache_states": {
-                name: copy.deepcopy(c.__getstate__())
-                for name, c in caches.items()
-            },
-            "draw_regions": tuple(regions),
-            "image": self.fb.color_image() if capture_image else None,
-        }
-        return fstats, capture
-
-    def apply_frame_record(self, record, frame: Frame) -> FrameGpuStats:
-        """Replay a cached frame's contributions without simulating it.
-
-        The state machine fast-forwards over the frame's calls (as it does
-        for pre-shard frames), the recorded statistics/memory/cache-counter
-        deltas are added, and the recorded end-of-frame cache contents are
-        installed — leaving every piece of result-visible simulator state
-        exactly where :meth:`run_frame` would.  The framebuffer is *not*
-        restored; callers must only reuse a frame when the next simulated
-        frame opens with a full clear (see
-        :func:`repro.farm.drawcache.run_trace_incremental`).
-        """
-        self._fast_forward(frame)
-        for client, nbytes in record.memory_reads.items():
-            self.memory.reads[client] += nbytes
-        for client, nbytes in record.memory_writes.items():
-            self.memory.writes[client] += nbytes
-        for name, cache in self._cache_map().items():
-            d_hits, d_misses, d_accesses = record.cache_deltas[name]
-            state = copy.deepcopy(record.cache_states[name])
-            state["hits"] = cache.hits + d_hits
-            state["misses"] = cache.misses + d_misses
-            state["accesses"] = cache.accesses + d_accesses
-            cache.__setstate__(state)
-        fstats = copy.deepcopy(record.fstats)
-        fstats.frame = frame.number
-        fstats.merge_into(self.stats)
-        self.frame_stats.append(fstats)
-        return fstats
-
     def run_frame(self, frame: Frame, fragment_stages: bool = True) -> FrameGpuStats:
         fstats = FrameGpuStats(frame=frame.number)
         frame_span = obs_spans.span("gpu.frame", "gpu")
@@ -397,10 +306,10 @@ class GpuSimulator:
     ) -> None:
         """Span-accounting wrapper around :meth:`_process_draw_impl`.
 
-        Kept as the patch point :class:`~repro.gpu.profiler.DrawProfiler`
-        wraps.  With tracing disabled this adds one no-op span lookup per
-        draw; enabled, it records the same per-draw deltas the profiler
-        does, as ``gpu.draw`` span attributes.
+        With tracing disabled this adds one no-op span lookup per draw;
+        enabled, it records the draw's cost deltas as ``gpu.draw`` span
+        attributes — the one source of per-draw records
+        (:func:`repro.gpu.profiler.records_from_spans`).
         """
         draw_span = obs_spans.span("gpu.draw", "gpu")
         if not draw_span:
@@ -673,10 +582,6 @@ class GpuSimulator:
         """
         with obs_spans.span("gpu.stage.raster", "gpu"):
             stream = rasterize_draw(tris, self.config.width, self.config.height)
-        if self._region_log is not None:
-            self._region_log.append(
-                None if stream is None else stream.region_footprint()
-            )
         if stream is None:
             return
         fstats.fragments_rasterized += stream.fragment_count

@@ -2,19 +2,19 @@
 
 The paper's related work surveys per-draw profiling tools (NVPerfHUD,
 NVPerfKit, ATI's PIX plugins).  This module provides the equivalent for the
-simulator: attach a :class:`DrawProfiler` to a :class:`GpuSimulator` and it
-records one row per draw call — triangles, fragments per stage, shader
-instructions, texture probes, and the memory bytes the draw moved — so the
-heaviest batches of a frame can be ranked and attributed.
+simulator: one :class:`DrawRecord` row per draw call — triangles, fragments
+per stage, shader instructions, texture probes, and the memory bytes the
+draw moved — so the heaviest batches of a frame can be ranked and
+attributed.  The rows come from the pipeline's ``gpu.draw`` spans
+(:meth:`repro.gpu.pipeline.GpuSimulator._process_draw`), the one source of
+per-draw records: :func:`profile_workload` traces a run locally, ``repro
+observe --top-draws`` reads an exported timeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.gpu.pipeline import GpuSimulator
-from repro.gpu.stats import FrameGpuStats, MemClient
-from repro.observe import metrics as obs_metrics
 from repro.observe import spans as obs_spans
 
 
@@ -67,78 +67,14 @@ class FrameProfile:
         return out
 
 
-class DrawProfiler:
-    """Wraps a simulator's draw processing to collect per-draw records."""
-
-    def __init__(self, simulator: GpuSimulator):
-        self.simulator = simulator
-        self.frames: list[FrameProfile] = []
-        self._original = simulator._process_draw
-        simulator._process_draw = self._wrapped  # type: ignore[assignment]
-
-    def detach(self) -> None:
-        self.simulator._process_draw = self._original  # type: ignore[assignment]
-
-    def __enter__(self) -> "DrawProfiler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
-
-    def _current_profile(self, frame_number: int) -> FrameProfile:
-        if not self.frames or self.frames[-1].frame != frame_number:
-            self.frames.append(FrameProfile(frame_number))
-        return self.frames[-1]
-
-    def _wrapped(self, draw, fstats: FrameGpuStats, fragment_stages: bool):
-        sim = self.simulator
-        state = sim.machine.state
-        memory_before = sim.memory.total_bytes
-        before = (
-            fstats.indices,
-            fstats.triangles_traversed,
-            fstats.fragments_rasterized,
-            fstats.fragments_shaded,
-            fstats.fragments_blended,
-            fstats.fragment_instructions,
-            fstats.bilinear_samples,
-        )
-        self._original(draw, fstats, fragment_stages)
-        profile = self._current_profile(fstats.frame)
-        record = DrawRecord(
-            frame=fstats.frame,
-            index=len(profile.draws),
-            mesh=draw.mesh,
-            vertex_program=state.vertex_program,
-            fragment_program=state.fragment_program,
-            indices=fstats.indices - before[0],
-            triangles_traversed=fstats.triangles_traversed - before[1],
-            fragments_rasterized=fstats.fragments_rasterized - before[2],
-            fragments_shaded=fstats.fragments_shaded - before[3],
-            fragments_blended=fstats.fragments_blended - before[4],
-            fragment_instructions=fstats.fragment_instructions - before[5],
-            bilinear_samples=fstats.bilinear_samples - before[6],
-            memory_bytes=sim.memory.total_bytes - memory_before,
-        )
-        profile.draws.append(record)
-        if obs_spans.enabled():
-            reg = obs_metrics.registry()
-            reg.counter("profiler.draws").inc()
-            reg.histogram("profiler.draw_memory_bytes").observe(
-                record.memory_bytes
-            )
-            reg.histogram("profiler.draw_fragments_shaded").observe(
-                record.fragments_shaded
-            )
-
-
 def records_from_spans(span_docs) -> list[DrawRecord]:
-    """Rebuild :class:`DrawRecord` rows from exported ``gpu.draw`` spans.
+    """Rebuild :class:`DrawRecord` rows from ``gpu.draw`` span documents.
 
-    The pipeline's draw spans carry the same per-draw deltas the profiler
-    computes, so ``repro observe --top-draws`` can rank heavy batches from
-    a trace without a separate profiled re-run.  ``index`` is the draw's
-    order within its frame, recovered from span order.
+    Each draw span carries the draw's cost deltas as attributes, so a
+    traced run — live (:func:`profile_workload`) or exported (``repro
+    observe --top-draws``) — yields the profile without a second
+    instrumented pass.  ``index`` is the draw's order within its frame,
+    recovered from span order.
     """
     records: list[DrawRecord] = []
     next_index: dict[int, int] = {}
@@ -183,8 +119,20 @@ def records_from_timeline(tracks: list[dict]) -> list[DrawRecord]:
 
 
 def profile_workload(workload, frames: int = 1) -> list[FrameProfile]:
-    """Convenience: simulate ``frames`` of a workload with profiling on."""
+    """Simulate ``frames`` of a workload and group its draws per frame.
+
+    The run is traced on a local tracer (``env=False``: no farm worker
+    starts tracing) that is removed again before returning.
+    """
     sim = workload.simulator()
-    with DrawProfiler(sim) as profiler:
+    tracer = obs_spans.enable(track="profile", env=False)
+    try:
         sim.run_trace(workload.trace(frames=frames))
-        return profiler.frames
+    finally:
+        obs_spans.disable()
+    profiles: list[FrameProfile] = []
+    for record in records_from_spans(s.as_dict() for s in tracer.spans):
+        if not profiles or profiles[-1].frame != record.frame:
+            profiles.append(FrameProfile(record.frame))
+        profiles[-1].draws.append(record)
+    return profiles

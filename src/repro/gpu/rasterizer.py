@@ -230,24 +230,6 @@ class QuadStream:
         ys = self.qy[:, None] * 2 + _QUAD_DY[None, :]
         return xs, ys
 
-    def region_footprint(self) -> tuple[int, int, int, int, int]:
-        """Pixel-space framebuffer region this draw's quads touch.
-
-        ``(x0, y0, x1, y1, quad_count)`` — the inclusive bounding rectangle
-        of every rasterized quad plus the quad count, the conservative
-        per-draw framebuffer-region dependency the draw cache records (see
-        :mod:`repro.farm.drawcache`).
-        """
-        if self.quad_count == 0:
-            return (0, 0, -1, -1, 0)
-        return (
-            int(self.qx.min()) * 2,
-            int(self.qy.min()) * 2,
-            int(self.qx.max()) * 2 + 1,
-            int(self.qy.max()) * 2 + 1,
-            self.quad_count,
-        )
-
     def select(self, mask: np.ndarray) -> "QuadStream":
         """Subset of quads where ``mask`` (bool or index array) selects."""
         return QuadStream(

@@ -1,8 +1,8 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
 The registry is the numeric side of the observability subsystem: the GPU
-pipeline publishes per-frame event counts, :class:`~repro.gpu.profiler
-.DrawProfiler` publishes per-draw cost distributions, and
+pipeline publishes per-frame event counts (per-draw costs travel as
+``gpu.draw`` span attributes instead), and
 :class:`~repro.farm.telemetry.FarmTelemetry` keeps its phase accounting in a
 registry (its own by default, the process-wide one when the ``repro
 observe`` CLI wires them together) — so the ``farm status`` summary and a

@@ -101,9 +101,6 @@ class ServeConfig:
     cache_dir: str | None = None
     #: Forward every span event (draw/stage level included) over WS.
     verbose_events: bool = False
-    #: Draw-level incremental replay in the lane farms (``None`` resolves
-    #: ``REPRO_INCREMENTAL``).  Bit-identical results, unchanged job keys.
-    incremental: bool | None = None
     #: Frame-sharding policy passed through to the lane farms.
     shard_frames: int | None = None
     #: Deadline applied to submissions that do not request one (seconds;
@@ -273,7 +270,6 @@ class ReproServer:
             jobs=1,
             checkpoint_every=0,
             shard_frames=self.config.shard_frames,
-            incremental=self.config.incremental,
         )
 
     async def start(self) -> None:

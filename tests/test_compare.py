@@ -170,7 +170,7 @@ class TestDiff:
 
     def test_added_removed_rows(self, tmp_path):
         doc = _bench_doc()
-        doc.pop("incremental", None)
+        doc.pop("observer", None)
         mutated = tmp_path / "mutated.json"
         mutated.write_text(json.dumps(doc))
         diff = compare.diff_runs(
@@ -178,7 +178,7 @@ class TestDiff:
         )
         removed = [r for r in diff.rows if r.status == "removed"]
         assert removed and all(
-            r.name.startswith("incremental.") for r in removed
+            r.name.startswith("observer.") for r in removed
         )
 
     def test_diff_is_order_stable(self, tmp_path):

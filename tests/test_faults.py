@@ -37,9 +37,7 @@ from repro.farm import (
     validate_result,
 )
 from repro.farm import chaos, faults
-from repro.farm.drawcache import CACHE_NAMES, DrawCache, FrameRecord
 from repro.farm.store import write_sealed
-from repro.gpu.stats import FrameGpuStats
 
 WORKLOAD = "UT2004/Primeval"
 OTHER = "Doom3/trdemo2"
@@ -205,18 +203,6 @@ class TestStoreIntegrity:
         assert store.quarantined_files() == []
 
 
-def _frame_record(frame_key: str) -> FrameRecord:
-    return FrameRecord(
-        frame_key=frame_key,
-        draw_keys=("d" * 24,),
-        fstats=FrameGpuStats(),
-        memory_reads={},
-        memory_writes={},
-        cache_deltas={name: (1, 1, 2) for name in CACHE_NAMES},
-        cache_states={name: {} for name in CACHE_NAMES},
-    )
-
-
 #: Per entry family: (save, load, path of the one file a save leaves).
 ENTRY_FAMILIES = {
     "artifact": (
@@ -235,11 +221,6 @@ ENTRY_FAMILIES = {
         ),
         lambda store, job: store.load_trace(job),
         lambda store, job: store.trace_path(job),
-    ),
-    "drawcache": (
-        lambda store, job: DrawCache(store, "b" * 24).save(_frame_record("f" * 24)),
-        lambda store, job: DrawCache(store, "b" * 24).load("f" * 24),
-        lambda store, job: DrawCache(store, "b" * 24).record_path("f" * 24),
     ),
     "spans": (
         lambda store, job: store.save_spans(

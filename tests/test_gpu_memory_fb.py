@@ -34,14 +34,6 @@ class TestMemoryController:
         mem.read(MemClient.DAC, 1000)
         assert mem.bandwidth_at_fps(frames=2, fps=100.0) == pytest.approx(50000.0)
 
-    def test_delta_since(self):
-        mem = MemoryController()
-        mem.read(MemClient.VERTEX, 10)
-        snap = mem.snapshot()
-        mem.read(MemClient.VERTEX, 7)
-        delta = mem.delta_since(snap)
-        assert delta.reads[MemClient.VERTEX] == 7
-
     def test_empty_distribution(self):
         mem = MemoryController()
         assert all(v == 0.0 for v in mem.traffic_distribution.values())

@@ -20,6 +20,7 @@ import itertools
 
 import pytest
 
+from repro.api.commands import Clear, Draw
 from repro.api.tracer import ApiTracer
 from repro.farm import (
     ArtifactStore,
@@ -40,6 +41,7 @@ from repro.farm.checkpoint import (
     job_trace,
     run_api_job,
 )
+from repro.workloads import all_workloads, build_workload
 
 WORKLOAD = "UT2004/Primeval"
 OTHER = "Doom3/trdemo2"
@@ -120,6 +122,21 @@ def test_sharded_simulation_is_bit_identical(name):
 def test_sharded_api_stats_are_bit_identical(api_split):
     serial, parts = api_split
     assert merge_api_stats(parts) == serial
+
+
+@pytest.mark.parametrize("profile", ["sim", "full"])
+@pytest.mark.parametrize("name", [spec.name for spec in all_workloads()])
+def test_generated_frames_open_with_full_clear(name, profile):
+    """Every generated frame clears color, depth and stencil before its
+    first draw.  Shard-and-merge is exact only because of this (a shard
+    starts on a fresh framebuffer), and no runtime code checks it."""
+    workload = build_workload(name, sim=profile == "sim")
+    for frame in workload.trace(frames=2).frames():
+        first = next(
+            call for call in frame.calls if isinstance(call, (Clear, Draw))
+        )
+        assert isinstance(first, Clear), frame.number
+        assert first.color and first.depth and first.stencil, frame.number
 
 
 # -- merge algebra -----------------------------------------------------------

@@ -28,7 +28,6 @@ import pytest
 from repro.farm import ArtifactStore, Farm, sim_job
 from repro.farm.checkpoint import clear_trace_cache
 from repro.farm.telemetry import FarmTelemetry
-from repro.gpu.profiler import DrawProfiler, records_from_spans
 from repro.observe import (
     absorb_job,
     ascii_timeline,
@@ -379,21 +378,6 @@ def test_traced_rerun_exports_identically(ut_one_frame):
         spans.disable()
         exports.append(json.dumps(to_chrome(timeline), sort_keys=True))
     assert exports[0] == exports[1]
-
-
-def test_draw_spans_match_profiler_records(ut_one_frame):
-    workload, trace = ut_one_frame
-    sim = workload.simulator()
-    tracer = spans.enable(env=False)
-    with DrawProfiler(sim) as profiler:
-        sim.run_trace(trace, max_frames=1)
-    spans.disable()
-    from_trace = records_from_spans(s.as_dict() for s in tracer.spans)
-    from_profiler = [r for f in profiler.frames for r in f.draws]
-    assert from_trace == from_profiler
-    assert metrics.registry().counter("profiler.draws").value == len(
-        from_profiler
-    )
 
 
 def _traced_farm_export(tmp, jobs):

@@ -1,8 +1,8 @@
-"""Tests for the per-draw profiler."""
+"""Tests for the per-draw profiler (rows rebuilt from ``gpu.draw`` spans)."""
 
 import pytest
 
-from repro.gpu.profiler import DrawProfiler, DrawRecord, profile_workload
+from repro.gpu.profiler import DrawRecord, profile_workload
 from repro.workloads import build_workload
 
 
@@ -28,12 +28,26 @@ class TestRecords:
 
     def test_per_draw_totals_sum_to_frame_totals(self, profiles):
         frames, workload = profiles
-        sim = workload.simulator()
-        result = sim.run_trace(workload.trace(frames=2))
-        profiled_frags = sum(p.totals("fragments_rasterized") for p in frames)
-        assert profiled_frags == result.stats.fragments_rasterized
-        profiled_tris = sum(p.totals("triangles_traversed") for p in frames)
-        assert profiled_tris == result.stats.triangles_traversed
+        result = workload.simulator().run_trace(workload.trace(frames=2))
+        assert [p.frame for p in frames] == [
+            fs.frame for fs in result.frame_stats
+        ]
+        for attribute in (
+            "indices",
+            "triangles_traversed",
+            "fragments_rasterized",
+            "fragments_shaded",
+            "fragments_blended",
+            "fragment_instructions",
+            "bilinear_samples",
+        ):
+            for profile, fstats in zip(frames, result.frame_stats):
+                assert profile.totals(attribute) == getattr(
+                    fstats, attribute
+                ), (attribute, profile.frame)
+            assert sum(p.totals(attribute) for p in frames) == getattr(
+                result.stats, attribute
+            ), attribute
 
     def test_heaviest_sorted(self, profiles):
         frames, _ = profiles
@@ -53,15 +67,6 @@ class TestRecords:
         assert prepass.pass_kind == "depth prepass"
         shading = DrawRecord(0, 0, "x.room", "vp", "fp")
         assert shading.pass_kind == "shading"
-
-    def test_detach_restores_simulator(self):
-        workload = build_workload("UT2004/Primeval", sim=True)
-        sim = workload.simulator()
-        original = sim._process_draw
-        with DrawProfiler(sim) as profiler:
-            assert sim._process_draw != original
-        assert sim._process_draw == original
-        del profiler
 
     def test_memory_attribution_positive(self, profiles):
         frames, _ = profiles

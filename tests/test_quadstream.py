@@ -142,7 +142,6 @@ def test_facade_exports():
     for attr in (
         "simulate",
         "api_stats",
-        "characterize",
         "ExperimentConfig",
         "GpuConfig",
     ):
@@ -152,11 +151,14 @@ def test_facade_exports():
 
 def test_runner_simulation_shim_removed():
     """The 1.x ``Runner.simulation`` deprecation shim is gone since 2.0;
-    3.0 removed the fused path's two ``GpuConfig`` fields."""
+    3.0 removed the fused path's two ``GpuConfig`` fields and 4.0 the
+    ``characterize`` entry points."""
     from repro.experiments.runner import ExperimentConfig, Runner
 
     runner = Runner(ExperimentConfig(sim_frames=1))
     assert not hasattr(runner, "simulation")
+    assert not hasattr(runner, "characterize")
+    assert not hasattr(repro, "characterize")
     fields = {field.name for field in dataclasses.fields(repro.GpuConfig)}
     assert not fields & {"fused", "threads"}
-    assert repro.__version__.split(".")[0] == "3"
+    assert repro.__version__.split(".")[0] == "4"

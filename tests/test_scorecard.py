@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentConfig, Runner
+from repro.experiments import ExperimentConfig, Runner, tables
 from repro.experiments.report import Comparison
 from repro.experiments.scorecard import (
     ExhibitScore,
@@ -75,3 +75,47 @@ class TestEndToEnd:
         assert markdown.startswith("# EXPERIMENTS")
         assert "## Scorecard" in markdown
         assert "Table XVI" in markdown
+
+
+def _exhibit_with_type_error(runner=None):
+    """A registered exhibit whose own body raises TypeError on a runner."""
+    if runner is not None:
+        raise TypeError("bug inside the exhibit")
+    return make_comparison([["x", (1.0, 1.0)]])
+
+
+class TestExhibitDispatch:
+    """Every exhibit takes ``runner=``; a TypeError raised inside one is
+    its bug and must propagate, not silently re-run the exhibit on the
+    default runner (which ignores --cache-dir, --jobs and the budgets)."""
+
+    @pytest.fixture
+    def broken(self, monkeypatch):
+        monkeypatch.setattr(
+            tables, "ALL_TABLES", {"tableT": _exhibit_with_type_error}
+        )
+
+    def test_every_registered_exhibit_takes_a_runner(self):
+        import inspect
+
+        from repro.experiments import figures
+
+        for func in (*tables.ALL_TABLES.values(), *figures.ALL_FIGURES.values()):
+            assert "runner" in inspect.signature(func).parameters, func
+
+    def test_build_scorecard_propagates(self, broken):
+        runner = Runner(ExperimentConfig(1, 1, 1), use_cache=False)
+        with pytest.raises(TypeError, match="bug inside the exhibit"):
+            build_scorecard(runner)
+
+    def test_cli_tables_propagates(self, broken, tmp_path):
+        from repro import cli
+
+        with pytest.raises(TypeError, match="bug inside the exhibit"):
+            cli.main(
+                [
+                    "tables", "--only", "tableT", "--jobs", "1",
+                    "--out-dir", str(tmp_path / "out"),
+                    "--cache-dir", str(tmp_path / "cache"),
+                ]
+            )

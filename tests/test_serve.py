@@ -325,3 +325,10 @@ class TestHttpSurface:
             assert excinfo.value.status == 404
         finally:
             thread.stop()
+
+
+def test_client_and_server_protocol_versions_locked():
+    from repro.serve.client import PROTOCOL_VERSION
+    from repro.serve.protocol import VERSION
+
+    assert PROTOCOL_VERSION == VERSION

@@ -2,12 +2,11 @@
 
 The serve layer runs the store as a bounded cache
 (:meth:`ArtifactStore.enforce_quota`); these tests pin the properties
-that make that safe: recency is updated on use (so eviction is真 LRU),
-in-flight / published jobs can be pinned and are never evicted, the
-bound covers traces and draw-cache records as well as artifacts, and
-quarantined files — evidence of corruption — are neither counted as
-evictable families, deleted by quota churn, nor resurrected as cache
-hits.
+that make that safe: recency is updated on use (so eviction is true
+LRU), in-flight / published jobs can be pinned and are never evicted, the
+bound covers traces as well as artifacts, and quarantined files —
+evidence of corruption — are neither counted as evictable families,
+deleted by quota churn, nor resurrected as cache hits.
 """
 
 import os
@@ -15,7 +14,7 @@ import pickle
 import types
 
 from repro.farm import ArtifactStore, JobSpec
-from repro.farm.store import QUOTA_DIRS, write_sealed
+from repro.farm.store import QUOTA_DIRS
 
 WORKLOAD = "UT2004/Primeval"
 
@@ -117,9 +116,9 @@ def _stored_bytes(store: ArtifactStore) -> int:
 
 
 class TestWholeStoreQuota:
-    def test_quota_bounds_traces_and_drawcache_records(self, tmp_path):
-        """Traces and draw-cache records count and are never pinned;
-        in-flight checkpoints are left alone."""
+    def test_quota_bounds_traces(self, tmp_path):
+        """Traces count and are never pinned; in-flight checkpoints are
+        left alone."""
         store = ArtifactStore(tmp_path)
         jobs = [_save(store, seed, mtime=2_000 + seed) for seed in range(3)]
         for seed, job in enumerate(jobs):
@@ -128,9 +127,6 @@ class TestWholeStoreQuota:
             )
             store.save_trace(job, trace)
             os.utime(store.trace_path(job), (1_000 + seed, 1_000 + seed))
-            record = store.drawcache_dir / f"{seed:024x}.pkl"
-            write_sealed(record, {"base": "b"}, b"r" * 20_000)
-            os.utime(record, (1_500 + seed, 1_500 + seed))
         store.save_checkpoint(jobs[0], {"frame": 1})
         max_bytes = sum(
             store.artifact_path(job).stat().st_size for job in jobs
