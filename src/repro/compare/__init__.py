@@ -1,7 +1,7 @@
 """repro.compare — cross-run regression explorer.
 
 Loads *runs* from any of five shapes (live probe, git revision,
-``BENCH_*.json`` document, bench-history line, span sidecar export) into a
+``BENCH_*.json`` document, bench-history line, span export) into a
 normalized lazily-computed :class:`~repro.compare.runset.RunResults`,
 diffs two of them with tolerance classes (bit-identity / banded timing /
 informational), and renders the result as ASCII, self-contained HTML, or

@@ -4,7 +4,7 @@ The regression explorer diffs *runs*, and a run can live in four shapes:
 
 * a **benchmark document** — ``BENCH_pipeline.json`` / ``BENCH_serve.json``
   (or one line of ``results/bench_history.jsonl``);
-* a **span sidecar set** — the ``.jsonl`` timeline ``repro observe
+* a **span export** — the ``.jsonl`` timeline ``repro observe
   --export`` writes, whose track headers carry merged metric snapshots;
 * a **live probe** — a fresh farm run of one :class:`JobSpec` under the
   observer, executed in a subprocess against the current tree;

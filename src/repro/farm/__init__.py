@@ -15,8 +15,9 @@ slices of one timedemo execute as independent jobs (every generated frame
 opens with a full clear, making frame ranges independent) and are folded
 back bit-identically by :mod:`repro.farm.merge`.  Workers are warm — one
 process pool lives for the whole :class:`~repro.farm.executor.Farm` — and
-results travel through the store: workers persist artifacts and return
-keys, the parent loads them at harvest.
+the store is the cache only: workers persist artifacts there, but each
+result and span buffer reaches the parent in the worker's
+:class:`~repro.farm.executor.JobOutcome`.
 
 The cache key covers everything that can change a result: workload spec,
 seed, frame budget, GPU configuration, and a hash of the ``repro`` source

@@ -3,9 +3,8 @@
 Runs every fault class the injector knows (worker crash, hang, transient
 exception, artifact corruption, checkpoint truncation, trace corruption,
 ``ENOSPC``, read-only cache, native-compile failure, a strict/graceful-
-degradation check, plus frame-shard recovery: a worker dying mid-shard and
-a shard artifact corrupted between worker save and parent harvest) against
-real farm batches, and asserts that the recovered results are
+degradation check, plus frame-shard recovery: a worker dying mid-shard)
+against real farm batches, and asserts that the recovered results are
 **bit-identical** to a fault-free reference run — the same equality the
 tier-1 suite demands of parallel-vs-serial execution.  Corruption scenarios
 additionally assert the damaged files ended up in quarantine rather than
@@ -283,26 +282,6 @@ def _worker_death_mid_shard(ctx: _Context) -> str:
     return "dead shard worker replaced; merged run is bit-identical"
 
 
-def _corrupted_shard_artifact(ctx: _Context) -> str:
-    """A shard artifact is damaged between worker save and parent harvest;
-    the parent quarantines it and recomputes that slice only."""
-    job = sim_job(WORKLOAD, 2)
-    plan = ctx.plan(
-        faults.FaultSpec(
-            "corrupt_artifact", match="+1/2", times=1, mode="bitflip"
-        )
-    )
-    farm = ctx.farm("shard-corrupt", shard_frames=2)
-    with faults.injected(plan):
-        recovered = farm.run([job])
-    _check_match(ctx.reference, recovered, [job])
-    if not farm.store.quarantined_files():
-        raise ChaosFailure("corrupted shard artifact was not quarantined")
-    if farm.telemetry.retries < 1:
-        raise ChaosFailure("corrupted shard was not recomputed")
-    return "corrupt shard artifact quarantined; recomputed slice merged clean"
-
-
 SCENARIOS: dict[str, Callable[[_Context], str]] = {
     "crash": _crash,
     "hang": _hang,
@@ -315,7 +294,6 @@ SCENARIOS: dict[str, Callable[[_Context], str]] = {
     "native-compile-failure": _native_compile,
     "graceful-degradation": _graceful_degradation,
     "worker-death-mid-shard": _worker_death_mid_shard,
-    "corrupted-shard-artifact": _corrupted_shard_artifact,
 }
 
 

@@ -23,10 +23,10 @@ Execution policy, in order:
    a worker death / kill (or by :meth:`Farm.close`).  Workers precompile
    the native kernels at init and keep generated traces in an in-process
    LRU, so only the first job in a worker pays those costs.
-4. **Store transport** — workers persist their (large) result into the
-   content-addressed store and ship back only the artifact key plus a few
-   scalars; the parent reloads it from the store at harvest instead of
-   receiving it through the result pipe.
+4. **Result envelope** — a unit's products leave its worker in one
+   :class:`JobOutcome`: the result, worker-side phase timings and the
+   unit's span buffer.  The store is only the cache; the parent validates
+   each unit once at harvest and folds its spans into its own timeline.
 5. **Crash/hang/exception recovery** — a worker crash breaks the pool, so
    the round's unfinished units are requeued and the pool is rebuilt; a
    round that outlives its deadline (``timeout`` seconds per unit, scaled
@@ -59,7 +59,6 @@ merged jobs are validated again as a whole.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import shutil
@@ -142,21 +141,20 @@ class FailureReport:
 
 @dataclass
 class JobOutcome:
-    """Worker return envelope: the artifact plus execution telemetry.
+    """Worker return envelope: the result plus execution telemetry.
 
-    With ``stored=True`` the worker persisted the result under ``key`` and
-    ``result`` is ``None`` — the parent materializes it from the shared
-    store at harvest time instead of receiving it over the result pipe.
+    The envelope is the only way a unit's products leave its worker.
     ``phases`` carries worker-side timing (``trace``, ``simulate``) for the
-    farm's phase breakdown.
+    farm's phase breakdown; ``spans`` is the unit's span-buffer payload
+    (:meth:`repro.observe.UnitScope.finish`) when it ran on a fresh tracer,
+    for the parent to absorb (:func:`repro.observe.absorb`).
     """
 
     result: Any
     wall_s: float
     from_cache: bool = False
-    stored: bool = False
-    key: str | None = None
     phases: dict[str, float] = field(default_factory=dict)
+    spans: dict | None = None
 
 
 def run_job(
@@ -172,8 +170,10 @@ def run_job(
     passes it to trace resolution and to the run.  The timedemo is
     resolved through the shared trace store / worker-local cache
     (:func:`repro.farm.checkpoint.job_trace`), so it is generated once per
-    demo, not once per shard.  Fault-injection hooks fire here so the
-    chaos suite can kill, hang, or trip the worker at a controlled point.
+    demo, not once per shard.  A fresh outcome carries the unit's span
+    buffer when the unit traced on its own tracer.  Fault-injection hooks
+    fire here so the chaos suite can kill, hang, or trip the worker at a
+    controlled point.
     """
     faults.reset_native_if_planned()
     faults.on_job_start(job.describe())
@@ -184,15 +184,11 @@ def run_job(
     if scope.fresh:
         observe.metrics.reset()
     store = ArtifactStore(cache_dir) if cache_dir is not None else None
-    outcome: JobOutcome | None = None
     try:
         if store is not None:
             cached = store.load(job)
             if cached is not None:
-                outcome = JobOutcome(
-                    cached, 0.0, from_cache=True, key=job.key()
-                )
-                return outcome
+                return JobOutcome(cached, 0.0, from_cache=True)
         phases: dict[str, float] = {}
         start = time.perf_counter()
         workload = build_job_workload(job)
@@ -212,19 +208,11 @@ def run_job(
                 store.save(job, result, wall_s=wall_s)
             except OSError:
                 pass  # full or read-only cache: the computation still succeeded
-        outcome = JobOutcome(result, wall_s, key=job.key(), phases=phases)
-        return outcome
     finally:
         payload = scope.finish(
             metrics=observe.registry().snapshot() if scope.fresh else None
         )
-        if (
-            payload is not None
-            and store is not None
-            and isinstance(outcome, JobOutcome)
-            and not outcome.from_cache
-        ):
-            store.save_spans(job, payload)
+    return JobOutcome(result, wall_s, phases=phases, spans=payload)
 
 
 def _pool_entry(
@@ -234,12 +222,11 @@ def _pool_entry(
     checkpoint_every: int,
     started_beacon: str | None = None,
 ):
-    """Pool-side wrapper: run the worker, strip stored results for transport.
+    """Pool-side wrapper: touch the start beacon, then run the worker.
 
-    When the standard worker persisted its result, only the envelope (key
-    plus scalars) crosses the process boundary; the parent reloads the
-    result from the store.  Custom workers and unsaved results (no cache
-    dir, unwritable volume) pass through whole.
+    The worker's return value crosses the process boundary whole: for the
+    standard worker, the :class:`JobOutcome` envelope with its result and
+    span buffer (the artifact was already saved to the store).
 
     The *started_beacon* file is touched before the worker runs: if this
     unit later comes back :class:`BrokenProcessPool`, the parent uses the
@@ -251,16 +238,7 @@ def _pool_entry(
             open(started_beacon, "w").close()
         except OSError:
             pass  # parent falls back to charging the attempt
-    outcome = worker(job, cache_dir, checkpoint_every)
-    if (
-        worker is run_job
-        and cache_dir is not None
-        and isinstance(outcome, JobOutcome)
-        and outcome.result is not None
-        and ArtifactStore(cache_dir).contains(job)
-    ):
-        return dataclasses.replace(outcome, result=None, stored=True)
-    return outcome
+    return worker(job, cache_dir, checkpoint_every)
 
 
 def _worker_init() -> None:
@@ -279,6 +257,12 @@ def _worker_init() -> None:
         pass  # the pure-Python pipeline works without the accelerator
 
 
+#: Requeue rounds wait ``BACKOFF_BASE * 2**(round - 1)`` seconds, jittered
+#: and capped at ``BACKOFF_MAX`` (see :func:`repro.farm.locks.backoff_delay`).
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
+
+
 class Farm:
     """Runs batches of :class:`JobSpec` through cache, pool, and fallback."""
 
@@ -292,8 +276,6 @@ class Farm:
         checkpoint_every: int = 1,
         telemetry: FarmTelemetry | None = None,
         strict: bool = True,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
         shard_frames: int | None = None,
         oversubscribe: bool = False,
     ):
@@ -316,8 +298,6 @@ class Farm:
         self.checkpoint_every = checkpoint_every
         self.telemetry = telemetry if telemetry is not None else FarmTelemetry()
         self.strict = strict
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
         #: ``None`` = shard automatically when the batch under-subscribes
         #: the pool; ``0`` = never shard; ``k`` = split every shardable job
         #: into (up to) ``k`` frame slices.
@@ -588,7 +568,7 @@ class Farm:
         distinct batches still desynchronize.
         """
         seed = ",".join(sorted(job.key() for job in round_jobs)) + f"#{round_no}"
-        delay = backoff_delay(round_no, self.backoff_base, self.backoff_max, seed)
+        delay = backoff_delay(round_no, BACKOFF_BASE, BACKOFF_MAX, seed)
         if delay > 0:
             time.sleep(delay)
 
@@ -610,6 +590,7 @@ class Farm:
             results[job] = outcome.result
             for phase, seconds in outcome.phases.items():
                 self.telemetry.add_phase(phase, seconds)
+            observe.absorb(outcome.spans)
         else:  # custom worker returning a bare value
             wall = parent_wall
             results[job] = outcome
@@ -817,13 +798,6 @@ class Farm:
                 else:
                     attempts[job] += 1
                     mark = time.perf_counter()
-                    outcome, load_error = self._materialize(job, outcome)
-                    if load_error is not None:
-                        self._note(causes, job, load_error)
-                        self._requeue(
-                            job, attempts, remaining, fallback, count=False
-                        )
-                        continue
                     violations = self._validate(job, outcome)
                     if violations:
                         self._note(
@@ -838,12 +812,6 @@ class Farm:
                     self.telemetry.add_phase(
                         "harvest", time.perf_counter() - mark
                     )
-                    if (
-                        isinstance(outcome, JobOutcome)
-                        and not outcome.from_cache
-                        and self.use_cache
-                    ):
-                        observe.absorb_job(self.store, job)
                     self._harvest(
                         job,
                         outcome,
@@ -853,27 +821,6 @@ class Farm:
                         time.monotonic() - round_start,
                         tuple(causes.get(job, ())),
                     )
-
-    def _materialize(self, job: JobSpec, outcome: Any):
-        """Reload a stored outcome from the shared store.
-
-        Returns ``(outcome, error)``.  The store load re-verifies the seal
-        and the invariants; a damaged artifact is quarantined there and
-        reported here as a retryable error, so on-disk corruption between
-        worker save and parent harvest degrades to a recompute.
-        """
-        if not (
-            isinstance(outcome, JobOutcome)
-            and outcome.stored
-            and outcome.result is None
-        ):
-            return outcome, None
-        loaded = self.store.load(job)
-        if loaded is None:
-            return None, (
-                "stored artifact unreadable at harvest (quarantined)"
-            )
-        return dataclasses.replace(outcome, result=loaded, stored=False), None
 
     # -- start beacons ---------------------------------------------------
     def _clear_beacons(

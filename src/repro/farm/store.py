@@ -4,17 +4,15 @@ Layout under the cache root (``.repro-cache/`` by default,
 ``REPRO_CACHE_DIR`` override)::
 
     artifacts/<key>.pkl        WorkloadApiStats / SimulationResult
-    artifacts/<key>.spans      a worker's span buffer (see repro.observe)
     checkpoints/<key>.ckpt     mid-run simulator state (sim jobs)
     traces/<tkey>.pkl          generated API trace, shared by every job and
                                frame shard that replays the same timedemo
     quarantine/                damaged files moved aside, never reused
 
 Every entry is one sealed file (:func:`write_sealed`): a SHA-256 line over
-the rest of the file, a JSON header line, then the payload — a pickle, or
-JSON lines for span buffers.  Writes are atomic (temp file +
-``os.replace``), so a killed process never leaves a half-written entry,
-and keys embed the full invalidation surface (see
+the rest of the file, a JSON header line, then the pickled payload.  Writes
+are atomic (temp file + ``os.replace``), so a killed process never leaves a
+half-written entry, and keys embed the full invalidation surface (see
 :meth:`repro.farm.job.JobSpec.key`, which hashes the ``repro`` sources),
 so a load either returns the exact result the job would recompute or
 nothing.
@@ -27,8 +25,11 @@ moved into ``quarantine/`` (with the reason logged) and reported as a miss
 — corruption is preserved as evidence and recomputed around, never
 silently reused and never silently deleted.
 
-Workers persist their results here and hand the parent only the key, so
-results cross the process boundary through the store, not the result pipe.
+The store is a cache, not a transport: workers save every result here
+before returning it in their :class:`~repro.farm.executor.JobOutcome`, so
+a crash or a rerun never redoes finished work.  A ``<key>.spans`` file an
+older store left is inert: nothing reads it, the quota counts it in its
+artifact's family, and eviction or :meth:`ArtifactStore.clear` removes it.
 
 Capacity is managed by :meth:`ArtifactStore.enforce_quota`: artifacts
 and traces are evicted least-recently-used first (recency = the entry's
@@ -183,9 +184,6 @@ class ArtifactStore:
     def checkpoint_path(self, job: JobSpec) -> pathlib.Path:
         return self.checkpoint_dir / f"{job.key()}.ckpt"
 
-    def spans_path(self, job: JobSpec) -> pathlib.Path:
-        return self.artifact_dir / f"{job.key()}.spans"
-
     # -- cross-process locking ------------------------------------------
     def lock(self, name: str = "store", timeout: float | None = 30.0) -> FileLock:
         """An advisory cross-process lock scoped to this store.
@@ -329,34 +327,6 @@ class ArtifactStore:
     def contains(self, job: JobSpec) -> bool:
         return self.artifact_path(job).exists()
 
-    # -- span sidecars ---------------------------------------------------
-    def save_spans(self, job: JobSpec, payload: dict) -> None:
-        """Persist a worker's span-buffer payload next to the artifact.
-
-        The header holds the track identity and metrics snapshot, the
-        payload one JSON span per line.  Best effort — observability must
-        never fail a job, so write errors are swallowed.
-        """
-        head = {k: v for k, v in payload.items() if k != "spans"}
-        body = "".join(
-            json.dumps(doc, sort_keys=True) + "\n"
-            for doc in payload.get("spans", [])
-        )
-        try:
-            write_sealed(self.spans_path(job), head, body.encode())
-        except OSError:
-            pass
-
-    def load_spans(self, job: JobSpec) -> dict | None:
-        """Load and verify a span sidecar; quarantine and None on corruption."""
-
-        def decode(header: dict, payload: memoryview) -> dict:
-            lines = bytes(payload).decode().splitlines()
-            header["spans"] = [json.loads(line) for line in lines]
-            return header
-
-        return self.read_entry(self.spans_path(job), decode, "span sidecar")
-
     # -- checkpoints ----------------------------------------------------
     def load_checkpoint(self, job: JobSpec) -> Any | None:
         """The checkpointed simulator for ``job``, or ``None``.
@@ -441,13 +411,13 @@ class ArtifactStore:
         """Every evictable family, least-recently-used first.
 
         A *family* is the files of one directory under :data:`QUOTA_DIRS`
-        that share a stem (everything before the first dot): an artifact
-        and its span sidecar, one trace — and files an older store layout
-        left under the same key.  Recency is the
-        newest member's mtime, written at save time and refreshed on every
-        artifact load, so sorting by it is LRU order.  Quarantined files are
-        not families — they are evidence, never candidates for reuse *or*
-        eviction.
+        that share a stem (everything before the first dot): an artifact,
+        one trace — and files an older store layout left under the same
+        key (a ``.json`` meta sidecar, a ``.spans`` span buffer).  Recency
+        is the newest member's mtime, written at save time and refreshed on
+        every artifact load, so sorting by it is LRU order.  Quarantined
+        files are not families — they are evidence, never candidates for
+        reuse *or* eviction.
         """
         groups: dict[tuple[str, str], list[pathlib.Path]] = {}
         for name in QUOTA_DIRS:

@@ -50,7 +50,7 @@ class FarmTelemetry:
         """Accumulate seconds for an execution phase: ``spawn`` (pool
         creation), ``trace`` (the job's one workload build plus timedemo
         resolution: worker cache, trace store or generation), ``simulate``
-        (pipeline work), ``harvest`` (store reload + validation), ``merge``
+        (pipeline work), ``harvest`` (validation), ``merge``
         (shard assembly)."""
         self.registry.counter(PHASE_PREFIX + phase).inc(seconds)
         # While tracing, mirror into the process-wide registry so span

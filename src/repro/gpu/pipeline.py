@@ -242,8 +242,8 @@ class GpuSimulator:
     def _publish_frame_metrics(fstats: FrameGpuStats) -> None:
         """Per-frame event counts into the process-wide metrics registry.
 
-        Only called while tracing — the counters travel in worker sidecars
-        and merge order-independently at harvest.
+        Only called while tracing — the counters travel in worker span
+        payloads and merge order-independently at harvest.
         """
         reg = obs_metrics.registry()
         reg.counter("gpu.frames").inc()

@@ -60,7 +60,7 @@ __all__ = [
     "NOOP",
     "Tracer",
     "UnitScope",
-    "absorb_job",
+    "absorb",
     "arm_env",
     "ascii_timeline",
     "current",
@@ -85,25 +85,22 @@ __all__ = [
 ]
 
 
-def absorb_job(store, job) -> bool:
-    """Fold a worker's span sidecar for ``job`` into the parent timeline.
+def absorb(payload: dict | None) -> bool:
+    """Fold a unit's span-buffer payload into this thread's timeline.
 
-    Called by the farm at harvest for freshly executed units.  No-op when
-    the parent isn't tracing.  A missing/corrupt sidecar (worker predates
-    tracing, artifact quarantined) is counted, not fatal — the timeline
-    simply lacks that unit's track.  Returns True when a track was merged.
+    Called by the farm at harvest with the payload a worker returned in its
+    :class:`~repro.farm.executor.JobOutcome`.  A thread that is not tracing
+    (a serve lane, an untraced batch) drops it, as does a ``None`` payload
+    (the unit traced straight into the parent, or not at all).  Returns
+    True when a track was merged.
     """
     tracer = spans.current()
-    if tracer is None:
-        return False
-    payload = store.load_spans(job)
-    if payload is None:
-        metrics.registry().counter("observe.sidecars_missing").inc()
+    if tracer is None or payload is None:
         return False
     tracer.absorb(payload)
     try:
         metrics.registry().merge(payload.get("metrics") or {})
     except (TypeError, ValueError, KeyError):
         metrics.registry().counter("observe.metrics_rejected").inc()
-    metrics.registry().counter("observe.sidecars_merged").inc()
+    metrics.registry().counter("observe.tracks_merged").inc()
     return True

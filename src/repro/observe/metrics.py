@@ -10,7 +10,7 @@ metrics dump can never disagree.
 
 Cross-process semantics are defined by :meth:`MetricsRegistry.snapshot` /
 :meth:`MetricsRegistry.merge`: farm workers snapshot their per-unit registry
-into the span sidecar and the parent merges at harvest.  Merging is
+into the span payload they return and the parent merges it at harvest.  Merging is
 order-independent — counters and histogram buckets add, gauges take the
 maximum — so totals are identical no matter how units were scheduled.
 """
@@ -95,7 +95,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metrics, get-or-create, with snapshot/merge for sidecars."""
+    """Named metrics, get-or-create, with cross-process snapshot/merge."""
 
     def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
@@ -137,14 +137,14 @@ class MetricsRegistry:
 
     # -- cross-process ---------------------------------------------------
     def snapshot(self) -> dict:
-        """Plain-JSON form of every metric (the sidecar ``metrics`` field)."""
+        """Plain-JSON form of every metric (a span payload's ``metrics``)."""
         return {name: metric.snapshot() for name, metric in self.items()}
 
     def merge(self, snapshot: dict) -> None:
         """Fold a snapshot in: counters/histograms add, gauges take max.
 
         A malformed entry (wrong type, mismatched buckets) raises
-        ``TypeError``/``ValueError`` — callers merging untrusted sidecars
+        ``TypeError``/``ValueError`` — callers merging untrusted payloads
         catch and drop.
         """
         for name, doc in sorted(snapshot.items()):

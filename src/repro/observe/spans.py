@@ -19,11 +19,12 @@ Two clocks per span make exports both human-useful and diffable:
 
 Cross-process collection: a farm pool worker has no parent tracer, so
 :class:`UnitScope` gives each execution unit (job or frame shard) a fresh
-tracer whose buffer is serialized into an artifact sidecar
-(:meth:`repro.farm.store.ArtifactStore.save_spans`); the parent absorbs the
-sidecars at harvest into per-unit *tracks* of one coherent timeline.  The
-same scope run in-parent (serial path) just opens a normal span, so serial
-and parallel runs produce one merged timeline either way.
+tracer whose buffer is serialized into the unit's result envelope
+(:class:`repro.farm.executor.JobOutcome`); the parent absorbs the payloads
+at harvest (:func:`repro.observe.absorb`) into per-unit *tracks* of one
+coherent timeline, with or without a store.  The same scope run in-parent
+(serial path) just opens a normal span, so serial and parallel runs
+produce one merged timeline either way.
 
 The installed tracer is **per thread** (a ``threading.local`` slot): the
 serving layer (:mod:`repro.serve`) runs several execution lanes as threads
@@ -82,7 +83,7 @@ class Span:
         return False
 
     def as_dict(self) -> dict:
-        """Serialized form (the sidecar/JSONL schema)."""
+        """Serialized form (the span payload/JSONL schema)."""
         return {
             "name": self.name,
             "cat": self.cat,
@@ -161,7 +162,7 @@ class Tracer:
 
     # -- serialization / merge -------------------------------------------
     def payload(self, metrics: dict | None = None) -> dict:
-        """Serialize this tracer's own track (the sidecar document).
+        """Serialize this tracer's own track (the span payload).
 
         Spans still open are closed *in the serialized copy only* at the
         current sequence/time, so a payload is always well-formed.
@@ -185,7 +186,7 @@ class Tracer:
         }
 
     def absorb(self, payload: dict) -> None:
-        """Merge a foreign (worker sidecar) track into this timeline."""
+        """Merge a foreign (worker) track into this timeline."""
         self.foreign[str(payload.get("track", "?"))] = payload
 
     def timeline(self, metrics: dict | None = None) -> list[dict]:
@@ -271,7 +272,7 @@ def enable(track: str = "main", env: bool = True) -> Tracer:
     """Install a fresh tracer on this thread and return it.
 
     ``env=True`` also sets :data:`ENV_FLAG` so farm pool workers (which
-    inherit the environment) trace their units into sidecars.
+    inherit the environment) trace their units into span payloads.
     """
     _SLOT.tracer = Tracer(track)
     if env:
@@ -309,9 +310,9 @@ class UnitScope:
     ``job:<label>`` span.  In a worker process with no tracer but with the
     :data:`ENV_FLAG` inherited, it installs a fresh per-unit tracer;
     :meth:`finish` uninstalls it and returns the serialized payload for the
-    sidecar.  Buffers are per *unit*, not per worker process, so their
-    contents depend only on the unit's (deterministic) work — never on
-    which worker ran it or what ran before.
+    unit's result envelope.  Buffers are per *unit*, not per worker
+    process, so their contents depend only on the unit's (deterministic)
+    work — never on which worker ran it or what ran before.
     """
 
     def __init__(self, label: str):
@@ -332,7 +333,7 @@ class UnitScope:
         )
 
     def finish(self, metrics: dict | None = None) -> dict | None:
-        """Close the scope; return the sidecar payload for fresh units."""
+        """Close the scope; return the span payload for fresh units."""
         if self._root is not None:
             self._tracer.close(self._root)
         if not self.fresh:

@@ -114,11 +114,15 @@ class ServeConfig:
     #: A connection that has not delivered a full request head within this
     #: many seconds is answered 408 and dropped (slowloris defense).
     request_timeout_s: float = 10.0
-    #: Circuit breaker: this many job failures inside the window trip
-    #: degraded mode for the cooldown; store-volume errors trip instantly.
+    #: Circuit breaker: this many job failures inside
+    #: :data:`BREAKER_WINDOW_S` trip degraded mode for the cooldown;
+    #: store-volume errors trip instantly.
     breaker_failures: int = 5
-    breaker_window_s: float = 30.0
     breaker_cooldown_s: float = 5.0
+
+
+#: The circuit breaker's failure-counting window, in seconds.
+BREAKER_WINDOW_S = 30.0
 
 
 class CircuitBreaker:
@@ -132,7 +136,7 @@ class CircuitBreaker:
     re-trips.  Runs entirely on the event-loop thread.
     """
 
-    def __init__(self, failures: int = 5, window_s: float = 30.0,
+    def __init__(self, failures: int = 5, window_s: float = BREAKER_WINDOW_S,
                  cooldown_s: float = 5.0):
         self.failures = max(1, failures)
         self.window_s = window_s
@@ -225,8 +229,7 @@ class ReproServer:
         )
         self.breaker = CircuitBreaker(
             self.config.breaker_failures,
-            self.config.breaker_window_s,
-            self.config.breaker_cooldown_s,
+            cooldown_s=self.config.breaker_cooldown_s,
         )
         self.draining = False
         self.started_at = time.time()

@@ -100,7 +100,7 @@ class TestClassification:
             assert classify("metrics", name) == "timing", name
 
     def test_info_rules(self):
-        for name in ("observe.sidecars_merged", "farm.cpu_count",
+        for name in ("observe.tracks_merged", "farm.cpu_count",
                      "cache.hit_rate", "server_stats.completed",
                      "backpressure_429s"):
             assert classify("metrics", name) == "info", name

@@ -222,13 +222,6 @@ ENTRY_FAMILIES = {
         lambda store, job: store.load_trace(job),
         lambda store, job: store.trace_path(job),
     ),
-    "spans": (
-        lambda store, job: store.save_spans(
-            job, {"track": "t", "pid": 1, "metrics": None, "spans": [{"n": 1}]}
-        ),
-        lambda store, job: store.load_spans(job),
-        lambda store, job: store.spans_path(job),
-    ),
 }
 
 
@@ -339,6 +332,30 @@ class TestChaosRecovery:
 
     def test_native_compile_failure_falls_back_identically(self, chaos_ctx):
         chaos._native_compile(chaos_ctx("native"))
+
+
+def test_corrupt_shard_artifact_is_a_cache_miss_not_a_retry(chaos_ctx):
+    """Results ride the worker's envelope: a shard artifact damaged after
+    the worker saved it costs the run nothing, and the cache quarantines
+    it on its next load."""
+    ctx = chaos_ctx("shard-corrupt")
+    job = sim_job(WORKLOAD, 2)
+    plan = ctx.plan(
+        FaultSpec("corrupt_artifact", match="+1/2", times=1, mode="bitflip")
+    )
+    farm = ctx.farm("shard-corrupt", shard_frames=2)
+    with faults.injected(plan):
+        recovered = farm.run([job])
+    chaos._check_match(ctx.reference, recovered, [job])
+    assert farm.telemetry.retries == 0
+    assert farm.last_report.ok
+    assert [r.source for r in farm.telemetry.records].count("merge") == 1
+
+    shard = job.shard(2)[1]
+    path = farm.store.artifact_path(shard)
+    assert farm.store.load(shard) is None
+    assert not path.exists()
+    assert [p.name for p in farm.store.quarantined_files()] == [path.name]
 
 
 # -- graceful degradation and scheduling fixes -------------------------------

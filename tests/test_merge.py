@@ -1,4 +1,4 @@
-"""Frame-sharded execution: merge algebra, bit-identity, and transport.
+"""Frame-sharded execution: merge algebra, bit-identity, and the store.
 
 The farm's scaling story rests on three claims, each tested here:
 
@@ -8,7 +8,7 @@ The farm's scaling story rests on three claims, each tested here:
   counters, memory traffic, and rendered images;
 * the merge itself is a well-behaved fold: order-invariant, associative,
   and loud (``MergeError``) on gaps, overlaps, or mixed result types;
-* the transport around it holds up — shared traces round-trip through the
+* the farm around it holds up — shared traces round-trip through the
   store exactly, rendered frames survive a store round trip, a corrupted
   trace is quarantined and regenerated instead of crashing the job, and
   the warm worker pool outlives both retry rounds and whole runs.
@@ -332,7 +332,7 @@ def test_warm_pool_rebuilt_after_worker_death(tmp_path):
         assert results_equal(reference[job], recovered[job])
 
 
-# -- zero-copy transport -----------------------------------------------------
+# -- rendered frames in the store ---------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +347,7 @@ def imaged():
     return job, result
 
 
-def test_images_round_trip_through_sidecar(tmp_path, imaged):
+def test_images_round_trip_through_the_store(tmp_path, imaged):
     job, result = imaged
     store = ArtifactStore(tmp_path)
     store.save(job, result)

@@ -10,8 +10,8 @@ The subsystem's contract, each clause tested here:
   pipeline's hot loops permanently;
 * attaching the observer never changes simulation results — statistics
   are bit-identical traced vs. untraced;
-* worker span buffers round-trip through artifact sidecars (corruption is
-  quarantined, not fatal) and merge into one timeline at harvest;
+* worker span buffers ride each unit's result envelope and merge into
+  one timeline at harvest, the same with or without a store;
 * exports round-trip (JSONL) and satisfy the Chrome-trace schema check;
 * ``FarmTelemetry`` phase accounting reads from the metrics registry, so
   the farm summary line and a metrics dump can never disagree.
@@ -29,7 +29,7 @@ from repro.farm import ArtifactStore, Farm, sim_job
 from repro.farm.checkpoint import clear_trace_cache
 from repro.farm.telemetry import FarmTelemetry
 from repro.observe import (
-    absorb_job,
+    absorb,
     ascii_timeline,
     from_jsonl,
     metrics,
@@ -140,7 +140,7 @@ def test_unit_scope_is_plain_span_under_parent_tracer():
     tracer = spans.enable(env=True)
     scope = spans.UnitScope("unit-b")
     assert not scope.fresh
-    assert scope.finish() is None  # no sidecar: spans went to the parent
+    assert scope.finish() is None  # no payload: spans went to the parent
     spans.disable()
     assert [s.name for s in tracer.spans] == ["job:unit-b"]
 
@@ -256,7 +256,7 @@ def test_top_spans_and_ascii_timeline():
     assert "run" in art and "frame" in art and "track main" in art
 
 
-# -- sidecar persistence ---------------------------------------------------
+# -- absorbing worker tracks -----------------------------------------------
 def _fake_payload():
     return {
         "track": "unit",
@@ -277,37 +277,15 @@ def _fake_payload():
     }
 
 
-def test_span_sidecar_roundtrip(tmp_path):
-    store = ArtifactStore(tmp_path)
-    job = sim_job(WORKLOAD, 1)
-    store.save_spans(job, _fake_payload())
-    assert store.load_spans(job) == _fake_payload()
-
-
-def test_corrupt_sidecar_is_quarantined(tmp_path):
-    store = ArtifactStore(tmp_path)
-    job = sim_job(WORKLOAD, 1)
-    store.save_spans(job, _fake_payload())
-    path = store.spans_path(job)
-    path.write_text(path.read_text()[:-20])
-    assert store.load_spans(job) is None
-    assert store.quarantined_files()
-    # absorb_job counts the miss instead of failing the harvest
-    spans.enable(env=False)
-    assert not absorb_job(store, job)
-    spans.disable()
-    assert metrics.registry().counter("observe.sidecars_missing").value == 1
-
-
-def test_absorb_job_merges_track_and_metrics(tmp_path):
-    store = ArtifactStore(tmp_path)
-    job = sim_job(WORKLOAD, 1)
-    store.save_spans(job, _fake_payload())
+def test_absorb_merges_track_and_metrics():
+    assert not absorb(_fake_payload())  # not tracing: the payload is dropped
     tracer = spans.enable(env=False)
-    assert absorb_job(store, job)
+    assert not absorb(None)  # the unit traced into this tracer, or not at all
+    assert absorb(_fake_payload())
     spans.disable()
     assert list(tracer.foreign) == ["unit"]
     assert metrics.registry().counter("gpu.frames").value == 1
+    assert metrics.registry().counter("observe.tracks_merged").value == 1
 
 
 # -- telemetry on the registry ---------------------------------------------
@@ -380,12 +358,15 @@ def test_traced_rerun_exports_identically(ut_one_frame):
     assert exports[0] == exports[1]
 
 
-def _traced_farm_export(tmp, jobs):
+def _traced_farm_export(tmp, jobs, use_cache=True):
     metrics.reset()
     tracer = spans.enable(track="main")
     try:
         with Farm(
-            store=ArtifactStore(tmp), jobs=jobs, shard_frames=2
+            store=ArtifactStore(tmp),
+            jobs=jobs,
+            use_cache=use_cache,
+            shard_frames=2,
         ) as farm:
             farm.run_one(sim_job(WORKLOAD, 2))
         timeline = tracer.timeline(metrics.registry().snapshot())
@@ -394,12 +375,17 @@ def _traced_farm_export(tmp, jobs):
     return timeline, json.dumps(to_chrome(timeline), sort_keys=True)
 
 
-def test_worker_sidecars_merge_bit_stably_across_jobs_widths(tmp_path):
+def test_worker_tracks_merge_bit_stably_across_jobs_widths(tmp_path):
     timeline2, export2 = _traced_farm_export(tmp_path / "a", jobs=2)
     timeline4, export4 = _traced_farm_export(tmp_path / "b", jobs=4)
+    # Worker tracks ride the result envelope, not the store.
+    _, export_nostore = _traced_farm_export(
+        tmp_path / "c", jobs=2, use_cache=False
+    )
     tracks = [t["track"] for t in timeline2]
     assert tracks[0] == "main" and len(tracks) == 3  # one per frame shard
     assert export2 == export4
+    assert export_nostore == export2
     assert validate_chrome(json.loads(export2)) == []
-    merged = metrics.registry().counter("observe.sidecars_merged").value
+    merged = metrics.registry().counter("observe.tracks_merged").value
     assert merged == 2

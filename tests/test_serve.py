@@ -305,6 +305,19 @@ class TestServedBitIdentity:
         assert result["artifact_sha256"] == served_sha
 
 
+class TestServedStore:
+    def test_fresh_job_leaves_only_its_artifact(self, tmp_path):
+        """A lane's span buffer goes to its live events, not to the store."""
+        thread, client = _server(tmp_path, None)  # real pipeline
+        try:
+            doc = client.submit(kind="api", workload="UT2004/Primeval", frames=1)
+            assert client.wait(doc["job"], timeout=600)["state"] == "done"
+        finally:
+            thread.stop()
+        artifacts = tmp_path / "cache" / "artifacts"
+        assert [p.name for p in artifacts.iterdir()] == [f"{doc['job']}.pkl"]
+
+
 class TestHttpSurface:
     def test_health_workloads_stats_and_404s(self, tmp_path):
         thread, client = _server(tmp_path, lambda *a: {"ok": True})

@@ -43,12 +43,12 @@ class TestFamilies:
     def test_family_bytes_cover_all_members(self, tmp_path):
         store = ArtifactStore(tmp_path)
         job = _save(store, 1, mtime=1_000)
-        store.save_spans(job, {"spans": [], "metrics": None, "track": "t",
-                               "pid": 1})
+        # A meta sidecar an older store layout left under the same key.
+        leftover = store.artifact_dir / f"{job.key()}.json"
+        leftover.write_text('{"sha256": "0"}')
         (family,) = store.families()
         expected = sum(
-            p.stat().st_size
-            for p in (store.artifact_path(job), store.spans_path(job))
+            p.stat().st_size for p in (store.artifact_path(job), leftover)
         )
         assert family["bytes"] == expected
 
