@@ -20,15 +20,16 @@ class ScreenTriangles:
 
     ``xy``: (T, 3, 2) pixel coordinates; ``z``: (T, 3) depth in [0, 1];
     ``inv_w``: (T, 3) for perspective-correct interpolation; per-vertex
-    attribute arrays; ``front``: per-triangle facing; ``parent``: index of
-    the assembled source triangle (near-clip can split one into two).
+    attribute arrays (None when the clipper carried none); ``front``:
+    per-triangle facing; ``parent``: index of the assembled source triangle
+    (near-clip can split one into two).
     """
 
     xy: np.ndarray
     z: np.ndarray
     inv_w: np.ndarray
-    uv: np.ndarray
-    color: np.ndarray
+    uv: np.ndarray | None
+    color: np.ndarray | None
     front: np.ndarray
     parent: np.ndarray
 
@@ -52,8 +53,8 @@ _NEAR_EPS = 1e-6
 def clip_and_cull(
     clip_positions: np.ndarray,
     triangles: np.ndarray,
-    uv: np.ndarray,
-    color: np.ndarray,
+    uv: np.ndarray | None,
+    color: np.ndarray | None,
     width: int,
     height: int,
     cull: str = "back",
@@ -62,13 +63,15 @@ def clip_and_cull(
 
     ``clip_positions``: (V, 4) clip-space vertex positions; ``triangles``:
     (T, 3) vertex indices; ``uv``/(V, 2) and ``color``/(V, 4) per-vertex
-    attributes carried to rasterization.
+    attributes carried to rasterization, or both None to carry none
+    (geometry-only runs).
     """
     pos = np.asarray(clip_positions, dtype=np.float64)
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     t_count = tris.shape[0]
     if t_count == 0:
         return ClipCullResult(_empty_screen_triangles(), 0, 0, 0, 0)
+    attrs = () if uv is None else (uv, color)
 
     x, y, z, w = pos[:, 0], pos[:, 1], pos[:, 2], pos[:, 3]
     outside = np.stack(
@@ -90,32 +93,30 @@ def clip_and_cull(
     out_xy: list[np.ndarray] = []
     out_z: list[np.ndarray] = []
     out_inv_w: list[np.ndarray] = []
-    out_uv: list[np.ndarray] = []
-    out_color: list[np.ndarray] = []
+    out_attrs: list[list[np.ndarray]] = [[] for _ in attrs]
     out_parent: list[np.ndarray] = []
 
     if easy.size:
         vids = tris[easy]  # (E, 3)
         p = pos[vids]  # (E, 3, 4)
-        a_uv = uv[vids]
-        a_color = color[vids]
         sx, sy, sz, inv_w = _viewport(p, width, height)
         out_xy.append(np.stack([sx, sy], axis=-1))
         out_z.append(sz)
         out_inv_w.append(inv_w)
-        out_uv.append(a_uv)
-        out_color.append(a_color)
+        for out, attr in zip(out_attrs, attrs):
+            out.append(attr[vids])
         out_parent.append(easy)
 
     for t in hard:
-        polys = _clip_near(pos[tris[t]], uv[tris[t]], color[tris[t]])
-        for p, a_uv, a_color in polys:
+        corners = tris[t]
+        polys = _clip_near(pos[corners], [attr[corners] for attr in attrs])
+        for p, poly_attrs in polys:
             sx, sy, sz, inv_w = _viewport(p[None, :, :], width, height)
             out_xy.append(np.stack([sx, sy], axis=-1))
             out_z.append(sz)
             out_inv_w.append(inv_w)
-            out_uv.append(a_uv[None, :, :])
-            out_color.append(a_color[None, :, :])
+            for out, attr in zip(out_attrs, poly_attrs):
+                out.append(attr[None, :, :])
             out_parent.append(np.array([t]))
 
     if not out_xy:
@@ -126,8 +127,7 @@ def clip_and_cull(
     xy = np.concatenate(out_xy)
     zs = np.concatenate(out_z)
     inv_ws = np.concatenate(out_inv_w)
-    uvs = np.concatenate(out_uv)
-    colors = np.concatenate(out_color)
+    carried = [np.concatenate(out) for out in out_attrs]
     parents = np.concatenate(out_parent)
 
     # Face culling on signed screen area.  Source meshes wind CCW in NDC
@@ -149,12 +149,13 @@ def clip_and_cull(
     traversed = int(surviving_parents.size)
     culled = t_count - clipped_count - traversed
 
+    uvs, colors = [a[keep] for a in carried] if carried else (None, None)
     result = ScreenTriangles(
         xy=xy[keep],
         z=zs[keep],
         inv_w=inv_ws[keep],
-        uv=uvs[keep],
-        color=colors[keep],
+        uv=uvs,
+        color=colors,
         front=front[keep],
         parent=parents[keep],
     )
@@ -180,38 +181,32 @@ def _viewport(p: np.ndarray, width: int, height: int):
     return sx, sy, np.clip(sz, 0.0, 1.0), inv_w
 
 
-def _clip_near(p: np.ndarray, uv: np.ndarray, color: np.ndarray):
+def _clip_near(p: np.ndarray, attrs: list[np.ndarray]):
     """Sutherland-Hodgman clip of one triangle against z + w = 0.
 
-    Interpolation happens in clip space (linear there), then the resulting
-    polygon is fanned back into triangles.
+    ``p`` is the (3, 4) clip-space corners and ``attrs`` the corners' (3, k)
+    attribute arrays.  Interpolation happens in clip space (linear there),
+    then the resulting polygon is fanned back into triangles, each returned
+    as ``(positions, [attribute arrays])``.
     """
     inside = p[:, 2] + p[:, 3] >= _NEAR_EPS
     if not inside.any():
         return []
-    verts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    corners = [p, *attrs]
+    verts: list[list[np.ndarray]] = []
     for i in range(3):
         j = (i + 1) % 3
-        pi, pj = p[i], p[j]
-        di = pi[2] + pi[3]
-        dj = pj[2] + pj[3]
+        di = p[i, 2] + p[i, 3]
+        dj = p[j, 2] + p[j, 3]
         if inside[i]:
-            verts.append((pi, uv[i], color[i]))
+            verts.append([a[i] for a in corners])
         if inside[i] != inside[j]:
             t = di / (di - dj)
-            verts.append(
-                (
-                    pi + t * (pj - pi),
-                    uv[i] + t * (uv[j] - uv[i]),
-                    color[i] + t * (color[j] - color[i]),
-                )
-            )
+            verts.append([a[i] + t * (a[j] - a[i]) for a in corners])
     polys = []
     for k in range(1, len(verts) - 1):
-        tri_p = np.stack([verts[0][0], verts[k][0], verts[k + 1][0]])
-        tri_uv = np.stack([verts[0][1], verts[k][1], verts[k + 1][1]])
-        tri_c = np.stack([verts[0][2], verts[k][2], verts[k + 1][2]])
-        polys.append((tri_p, tri_uv, tri_c))
+        tri = [np.stack(parts) for parts in zip(verts[0], verts[k], verts[k + 1])]
+        polys.append((tri[0], tri[1:]))
     return polys
 
 

@@ -367,7 +367,9 @@ class GpuSimulator:
         vp = self.programs.get(state.vertex_program or "")
         constants = self._gather_constants()
         with obs_spans.span("gpu.stage.vertex", "gpu"):
-            vres = self.vertex_stage.process(mesh, draw, vp, constants)
+            vres = self.vertex_stage.process(
+                mesh, draw, vp, constants, attributes=fragment_stages
+            )
 
         fstats.indices += int(vres.indices.size)
         fstats.vertex_cache_references += vres.cache_references
@@ -508,7 +510,7 @@ class GpuSimulator:
             tex_before = self.texture_unit.stats.reset()
             del tex_before
             result = self.fragment_interp.run(
-                fp, inputs={1: v1, 2: colors_in}, count=n
+                fp, inputs={1: v1, 2: colors_in}, count=n, outputs=(0,)
             )
             self.texture_unit.set_coverage(None)
             tex_stats = self.texture_unit.stats.reset()
@@ -727,7 +729,7 @@ class GpuSimulator:
             tex_before = self.texture_unit.stats.reset()
             del tex_before
             result = self.fragment_interp.run(
-                fp, inputs={1: v1, 2: colors_in}, count=n
+                fp, inputs={1: v1, 2: colors_in}, count=n, outputs=(0,)
             )
             self.texture_unit.set_coverage(None)
             tex_stats = self.texture_unit.stats.reset()

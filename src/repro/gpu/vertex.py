@@ -30,8 +30,8 @@ class VertexStageResult:
     unique: np.ndarray  # unique vertex ids, sorted
     remap: np.ndarray  # indices remapped into rows of the arrays below
     clip_positions: np.ndarray  # (U, 4)
-    uv: np.ndarray  # (U, 2)
-    color: np.ndarray  # (U, 4)
+    uv: np.ndarray | None  # (U, 2); None when only positions were shaded
+    color: np.ndarray | None  # (U, 4); likewise
     cache_references: int = 0
     cache_hits: int = 0
     vertices_shaded: int = 0
@@ -52,7 +52,18 @@ class VertexStage:
         draw: Draw,
         program: ShaderProgram | None,
         constants: dict[int, tuple] | None,
+        attributes: bool = True,
     ) -> VertexStageResult:
+        """Fetch and shade one draw's vertices.
+
+        ``attributes=False`` (geometry-only runs) shades the clip position
+        ``o0`` alone from ``v0``; the result's ``uv`` and ``color`` are None.
+        """
+        if program is None:
+            raise ValueError(
+                "draw issued without a vertex program; the driver always "
+                "synthesizes one (fixed-function translation)"
+            )
         indices = mesh.indices[
             draw.first_index : draw.first_index + draw.index_count
         ]
@@ -66,41 +77,42 @@ class VertexStage:
 
         unique, remap = np.unique(indices, return_inverse=True)
         positions = mesh.positions[unique]
-        uv = mesh.uvs[unique]
-        normals = mesh.normals[unique]
-        colors = (
-            mesh.colors[unique]
-            if mesh.colors is not None
-            else np.ones((unique.size, 4))
-        )
-
-        if program is None:
-            raise ValueError(
-                "draw issued without a vertex program; the driver always "
-                "synthesizes one (fixed-function translation)"
+        if attributes:
+            uv = mesh.uvs[unique]
+            colors = (
+                mesh.colors[unique]
+                if mesh.colors is not None
+                else np.ones((unique.size, 4))
             )
-        result = self._interpreter.run(
-            program,
-            inputs={
-                0: positions,
-                1: uv,
-                2: normals,
-                3: colors,
-                4: np.zeros((unique.size, 3)),
-                5: uv,
-            },
-            constants=constants,
-        )
-        clip = result.output(0)
-        out_uv = result.outputs.get(1)
-        out_color = result.outputs.get(2)
+            result = self._interpreter.run(
+                program,
+                inputs={
+                    0: positions,
+                    1: uv,
+                    2: mesh.normals[unique],
+                    3: colors,
+                    4: np.zeros((unique.size, 3)),
+                    5: uv,
+                },
+                constants=constants,
+                outputs=(0, 1, 2),
+            )
+            out_uv = result.outputs.get(1)
+            out_color = result.outputs.get(2)
+            uv = out_uv[:, :2] if out_uv is not None else uv
+            color = out_color if out_color is not None else colors
+        else:
+            result = self._interpreter.run(
+                program, inputs={0: positions}, constants=constants, outputs=(0,)
+            )
+            uv = color = None
         return VertexStageResult(
             indices=indices,
             unique=unique,
             remap=remap,
-            clip_positions=clip,
-            uv=out_uv[:, :2] if out_uv is not None else uv,
-            color=out_color if out_color is not None else colors,
+            clip_positions=result.output(0),
+            uv=uv,
+            color=color,
             cache_references=refs,
             cache_hits=hits,
             vertices_shaded=misses,

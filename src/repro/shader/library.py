@@ -67,8 +67,10 @@ def build_vertex_program(
     The program always performs the real MVP transform (so the simulator's
     geometry stage is exact) and copies ``uv_sets`` texture coordinate sets;
     when ``lit`` it evaluates a directional diffuse light into ``o2``.  Any
-    remaining budget is spent on a well-defined MAD chain standing in for the
-    skinning/fog/tangent work real engine shaders do.
+    remaining budget is spent on a MAD chain standing in for the
+    skinning/fog/tangent work real engine shaders do.  No output reads that
+    chain: it counts toward Tables IV/XII but is dead, so the interpreter
+    never executes it.
     """
     if uv_sets not in (1, 2):
         raise ValueError("uv_sets must be 1 or 2")
@@ -109,9 +111,10 @@ def build_fragment_program(
     exactly ``total_instructions`` instructions in total.
 
     Structure: sample each bound texture, modulate the diffuse sample by the
-    interpolated vertex color, accumulate further samples additively, run the
-    calibration MAD chain, optionally alpha-test via KIL (the ATTILA idiom),
-    and write ``o0``.
+    interpolated vertex color, accumulate further samples additively, pad
+    with the calibration MAD chain (counted, never executed: see
+    :func:`_filler_chain`), optionally alpha-test via KIL (the ATTILA
+    idiom), and write ``o0``.
     """
     if texture_count < 0:
         raise ValueError("texture_count must be >= 0")
@@ -183,7 +186,9 @@ def _filler_chain(count: int) -> str:
     """A ``count``-instruction, side-effect-free MAD/FRC chain on r6/r7.
 
     Stands in for per-material ALU (specular approximation, fog, detail
-    blending) so calibrated program lengths execute real arithmetic.
+    blending) so programs reach their calibrated lengths.  The filler counts
+    toward Tables IV/XII, but no output, ``KIL`` or texture fetch reads it,
+    so it is dead and the interpreter never executes it.
     """
     if count == 0:
         return ""

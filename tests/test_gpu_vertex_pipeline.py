@@ -88,12 +88,36 @@ class TestVertexStage:
         assert mem.reads[MemClient.VERTEX] > mesh.index_count * 2
 
     def test_missing_program_rejected(self):
-        stage = VertexStage(GpuConfig(), MemoryController())
+        mem = MemoryController()
+        stage = VertexStage(GpuConfig(), mem)
         mesh = grid_mesh("g", 2, 2, 1, 1)
+        before = dict(mem.reads)
         with pytest.raises(ValueError):
             stage.process(
                 mesh, Draw("g", PrimitiveType.TRIANGLE_LIST, 6), None, {}
             )
+        # A rejected draw fetches nothing.
+        assert mem.reads == before
+
+    def test_position_only_shading_matches_full(self):
+        mesh = grid_mesh("g", 8, 8, 4, 4)
+        draw = Draw("g", PrimitiveType.TRIANGLE_LIST, mesh.index_count)
+        vp = library.fixed_function_vertex()
+        constants = {i: tuple(mvp()[i]) for i in range(4)}
+        constants.update({8 + i: tuple(np.eye(4)[i]) for i in range(3)})
+        full_mem, geo_mem = MemoryController(), MemoryController()
+        full = VertexStage(GpuConfig(), full_mem).process(mesh, draw, vp, constants)
+        geo = VertexStage(GpuConfig(), geo_mem).process(
+            mesh, draw, vp, constants, attributes=False
+        )
+        assert geo.clip_positions.tobytes() == full.clip_positions.tobytes()
+        assert geo.uv is None and geo.color is None
+        assert full.uv.shape == (full.unique.size, 2)
+        assert (geo.vertices_shaded, geo.instructions) == (
+            full.vertices_shaded,
+            full.instructions,
+        )
+        assert geo_mem.reads == full_mem.reads
 
 
 class TestPipelineBasics:
@@ -290,3 +314,39 @@ class TestPerfModel:
             "vertex", "setup", "zstencil", "shader", "texture", "color", "memory",
         )
         assert estimate.fps_at_clock(625e6) > 0
+
+
+class TestVertexConsumersAgree:
+    """Geometry-only jobs shade ``o0`` alone; full jobs shade ``o0``-``o2``.
+
+    Both must transform the same positions, so every vertex and clip/cull
+    counter and the vertex-side traffic match frame by frame.
+    """
+
+    VERTEX_FIELDS = (
+        "indices",
+        "vertex_cache_references",
+        "vertex_cache_hits",
+        "vertices_shaded",
+        "vertex_instructions",
+        "triangles_assembled",
+        "triangles_clipped",
+        "triangles_culled",
+        "triangles_traversed",
+    )
+
+    @pytest.mark.parametrize(
+        "workload", ["UT2004/Primeval", "Doom3/trdemo2", "Quake4/demo4"]
+    )
+    def test_geometry_and_sim_jobs_agree(self, workload):
+        from repro.farm import geometry_job, run_job, sim_job
+
+        geo = run_job(geometry_job(workload, 2)).result
+        full = run_job(sim_job(workload, 2)).result
+        assert len(geo.frame_stats) == len(full.frame_stats) == 2
+        for g, f in zip(geo.frame_stats, full.frame_stats):
+            for name in self.VERTEX_FIELDS:
+                assert getattr(g, name) == getattr(f, name), (g.frame, name)
+        assert geo.frame_stats[0].triangles_traversed > 0
+        for client in (MemClient.VERTEX, MemClient.CP):
+            assert geo.memory.client_bytes(client) == full.memory.client_bytes(client)

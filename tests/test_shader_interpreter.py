@@ -125,6 +125,12 @@ class TestSemantics:
         with pytest.raises(ShaderExecutionError):
             run("MOV o0, r5", {0: np.zeros((1, 4))})
 
+    def test_dead_code_is_counted_not_run(self):
+        # r1 feeds no output, so its read of the unwritten r5 never runs.
+        res = run("MOV r1, r5\nMOV o0, v0", {0: np.ones((3, 4))})
+        assert np.allclose(res.output(0), 1.0)
+        assert res.instructions_executed == 6
+
     def test_missing_output_raises(self):
         res = run("MOV r0, v0", {0: np.zeros((1, 4))})
         with pytest.raises(ShaderExecutionError):
@@ -177,3 +183,14 @@ class TestKillAndTexture:
     def test_texture_without_sampler_raises(self):
         with pytest.raises(ShaderExecutionError):
             run("TEX o0, v1, s0", {1: np.zeros((1, 4))})
+
+    def test_malformed_program_fails_before_sampling(self):
+        calls = []
+
+        def sampler(unit, coords):
+            calls.append(unit)
+            return np.zeros((coords.shape[0], 4))
+
+        with pytest.raises(ShaderExecutionError, match="r5"):
+            run("TEX r0, v1, s0\nMOV o0, r5", {1: np.zeros((2, 4))}, sampler=sampler)
+        assert calls == []  # no texture traffic charged for a rejected program
