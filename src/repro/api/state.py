@@ -80,13 +80,6 @@ class RenderState:
                 return name
         return None
 
-    @property
-    def early_z_possible(self) -> bool:
-        """True when z/stencil may run before shading (paper Section III.C):
-        no alpha test (KIL) and no depth output from the shader — the KIL
-        check itself is applied by the pipeline, which knows the program."""
-        return True  # refined by the pipeline using program.uses_kill
-
 
 class StateMachine:
     """Applies API calls to a :class:`RenderState` and collects uniforms."""

@@ -32,10 +32,6 @@ class Frame:
     number: int
     calls: list[ApiCall] = field(default_factory=list)
 
-    @property
-    def draw_calls(self) -> list[Draw]:
-        return [c for c in self.calls if isinstance(c, Draw)]
-
 
 @dataclass(frozen=True)
 class TraceMeta:

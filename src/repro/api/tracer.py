@@ -7,9 +7,7 @@ names into instruction counts (Tables IV and XII).
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.api.commands import Draw, UploadResource, is_state_call
+from repro.api.commands import Draw, UploadResource
 from repro.api.state import StateMachine
 from repro.api.stats import FrameApiStats, WorkloadApiStats
 from repro.api.trace import Frame, Trace
@@ -72,9 +70,3 @@ class ApiTracer:
             out.fragment_batches += 1
             out.fragment_instr_weighted += fp.instruction_count
             out.fragment_tex_weighted += fp.texture_instruction_count
-
-    def multi_trace_stats(
-        self, traces: Iterable[Trace]
-    ) -> dict[str, WorkloadApiStats]:
-        """Convenience: stats for several traces keyed by workload name."""
-        return {t.meta.name: self.trace_stats(t) for t in traces}

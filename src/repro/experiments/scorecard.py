@@ -66,20 +66,6 @@ class ExhibitScore:
         return "shape only" if self.scale_bound else "divergent"
 
 
-def _comparison_pairs(comparison: Comparison) -> list[tuple[float, float]]:
-    pairs = []
-    for row in comparison.rows:
-        for cell in row:
-            if (
-                isinstance(cell, tuple)
-                and len(cell) == 2
-                and isinstance(cell[0], (int, float))
-                and isinstance(cell[1], (int, float))
-            ):
-                pairs.append((float(cell[0]), float(cell[1])))
-    return pairs
-
-
 def score_comparison(name: str, comparison: Comparison) -> ExhibitScore:
     modes = COLUMN_MODES.get(name)
     errors: list[float] = []

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from repro.observe import metrics as obs_metrics
 from repro.observe import spans as obs_spans
 from repro.observe.metrics import MetricsRegistry
-from repro.util.tables import format_table
 
 #: Registry namespace for phase wall-time counters (seconds).
 PHASE_PREFIX = "farm.phase."
@@ -119,32 +118,3 @@ class FarmTelemetry:
                 for name, seconds in sorted(self.phases.items())
             ) + "]"
         return line
-
-    def summary_table(self, title: str = "Farm job summary") -> str:
-        rows = [
-            [
-                r.job,
-                r.key[:12],
-                r.source,
-                f"{r.wall_s:.2f}",
-                r.attempts,
-                r.causes[-1] if r.causes else "",
-            ]
-            for r in self.records
-        ]
-        rows += [
-            [
-                f.job,
-                f.key[:12],
-                "FAILED",
-                "-",
-                len(f.causes),
-                f.causes[-1] if f.causes else "",
-            ]
-            for f in self.failures
-        ]
-        return format_table(
-            ["job", "key", "source", "wall s", "attempts", "last cause"],
-            rows,
-            title=title,
-        )

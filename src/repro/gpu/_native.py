@@ -28,11 +28,12 @@ import tempfile
 
 import numpy as np
 
-#: Reference semantics (mirrors ``Cache.access_line``): per set, entries are
-#: kept most-recently-used first; a hit moves the line to the front and ORs
-#: the dirty bit with the write flag; a miss records the line, evicts the
-#: least-recently-used entry of a full set (reporting its byte address when
-#: dirty) and inserts the new line at the front with dirty = write flag.
+#: Reference semantics (``lru_touch``, mirroring ``Cache.access_line``): per
+#: set, entries are kept most-recently-used first; a hit moves the line to
+#: the front and ORs the dirty bit with the write flag; a miss records the
+#: line, evicts the least-recently-used entry of a full set (reporting its
+#: byte address when dirty) and inserts the new line at the front with
+#: dirty = write flag.
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -40,56 +41,6 @@ _SOURCE = r"""
 #include <string.h>
 
 typedef int64_t i64;
-
-/* write_mode: 0 = all reads, 1 = all writes, 2 = per-reference flags[].
-   lines/dirty hold nsets*ways slots, MRU-first per set; sizes[nsets].
-   counts[0] = hits, counts[1] = misses, counts[2] = dirty evictions. */
-void lru_run(const i64 *stream, i64 n, int write_mode, const uint8_t *flags,
-             i64 *lines, uint8_t *dirty, i64 *sizes,
-             i64 nsets, i64 ways, i64 line_bytes,
-             i64 *miss_lines, i64 *evictions, i64 *counts)
-{
-    i64 hits = 0, nm = 0, ne = 0;
-    for (i64 k = 0; k < n; k++) {
-        i64 line = stream[k];
-        uint8_t wr = write_mode == 2 ? flags[k] : (uint8_t)write_mode;
-        i64 s = nsets > 1 ? line % nsets : 0;
-        i64 *L = lines + s * ways;
-        uint8_t *D = dirty + s * ways;
-        i64 size = sizes[s];
-        if (size > 0 && L[0] == line) {  /* MRU hit: the memmoves are no-ops */
-            hits++;
-            D[0] |= wr;
-            continue;
-        }
-        i64 pos = -1;
-        for (i64 i = 0; i < size; i++) {
-            if (L[i] == line) { pos = i; break; }
-        }
-        if (pos >= 0) {
-            uint8_t d = D[pos] | wr;
-            hits++;
-            memmove(L + 1, L, pos * sizeof(i64));
-            memmove(D + 1, D, pos * sizeof(uint8_t));
-            L[0] = line;
-            D[0] = d;
-        } else {
-            miss_lines[nm++] = line;
-            if (size >= ways) {
-                if (D[size - 1]) evictions[ne++] = L[size - 1] * line_bytes;
-                size--;
-            }
-            memmove(L + 1, L, size * sizeof(i64));
-            memmove(D + 1, D, size * sizeof(uint8_t));
-            L[0] = line;
-            D[0] = wr;
-            sizes[s] = size + 1;
-        }
-    }
-    counts[0] = hits;
-    counts[1] = nm;
-    counts[2] = ne;
-}
 
 /* Spread the low 16 bits of x into the even bit slots (Morton helper;
    mirrors repro.util.morton's lookup-table construction). */
@@ -103,13 +54,15 @@ static uint64_t part16(uint64_t x)
     return x;
 }
 
-/* One set-associative LRU access (Cache.access_line with a fixed write
-   flag), used by the color pass below.  Returns 1 on hit.  On a miss
-   the LRU victim of a full set is dropped; *evicted is set to its byte
-   address when it was dirty, else left untouched. */
-static int lru_touch(i64 line, int wr, i64 *lines, uint8_t *dirty,
-                     i64 *sizes, i64 nsets, i64 ways, i64 line_bytes,
-                     i64 *evicted)
+/* One set-associative LRU access (Cache.access_line): the only C step
+   of the reference model, shared by lru_run and colorpass.  Lines are
+   nonnegative.  Returns 1 on hit.  On a miss the LRU victim of a full set
+   is dropped; *evicted is set to its byte address when it was dirty, else
+   left untouched.  inline: with two callers the compiler otherwise keeps
+   it out of line, a call per reference in both hot loops. */
+static inline int lru_touch(i64 line, int wr, i64 *lines, uint8_t *dirty,
+                            i64 *sizes, i64 nsets, i64 ways,
+                            i64 line_bytes, i64 *evicted)
 {
     i64 s = nsets > 1 ? line % nsets : 0;
     i64 *L = lines + s * ways;
@@ -139,6 +92,32 @@ static int lru_touch(i64 line, int wr, i64 *lines, uint8_t *dirty,
     D[0] = (uint8_t)wr;
     sizes[s] = size + 1;
     return 0;
+}
+
+/* Cache.access_runs' walk: lru_touch over a stream, recording misses and
+   dirty evictions in reference order.  write_mode: 0 = all reads, 1 = all
+   writes, 2 = per-reference flags[].  lines/dirty hold nsets*ways slots,
+   MRU-first per set; sizes[nsets].  counts[0] = hits, counts[1] = misses,
+   counts[2] = dirty evictions. */
+void lru_run(const i64 *stream, i64 n, int write_mode, const uint8_t *flags,
+             i64 *lines, uint8_t *dirty, i64 *sizes,
+             i64 nsets, i64 ways, i64 line_bytes,
+             i64 *miss_lines, i64 *evictions, i64 *counts)
+{
+    i64 hits = 0, nm = 0, ne = 0;
+    for (i64 k = 0; k < n; k++) {
+        i64 evicted = -1;
+        int wr = write_mode == 2 ? flags[k] : write_mode;
+        if (lru_touch(stream[k], wr, lines, dirty, sizes,
+                      nsets, ways, line_bytes, &evicted))
+            hits++;
+        else
+            miss_lines[nm++] = stream[k];
+        if (evicted >= 0) evictions[ne++] = evicted;
+    }
+    counts[0] = hits;
+    counts[1] = nm;
+    counts[2] = ne;
 }
 
 /* Stamp-based LRU mirror for the texture walk below.  The reference
@@ -293,7 +272,7 @@ static void tc_export(stampcache *C, i64 *lines)
    so addresses are bit-identical.  Per sample: t in [-0.5, 0.5) along the
    anisotropy axis, position u + t*du; level = min(mip0 + step, max_level);
    texels wrap at the mip extents; the 4x4 block index is Morton-coded.
-   The collapse passes Cache.access_stream applies first (duplicate-run
+   The collapse passes Cache.access_runs applies first (duplicate-run
    and period-2 alternation folding) are exact no-ops on hit/miss totals
    and LRU state, so the raw inline walk reproduces their counters bit for
    bit; interleaving each L0 miss's L1 access into the walk is equally
@@ -589,46 +568,15 @@ void blocks_uniform(const double *color, i64 cw, i64 block,
     }
 }
 
-/* Bilinear texel fetch at one mip level (TextureUnit._bilinear inner
-   loop).  Weights and accumulation follow numpy's evaluation order and
-   dtype promotion exactly: texels promote to double, products associate
-   as (((c*gx)*gy)), the sum left-to-right, and the final store narrows
-   to float with round-to-nearest — colors are bit-identical. */
-void bilinear(const float *mip, i64 h, i64 w, i64 nc,
-              const double *u, const double *v, i64 n,
-              i64 level, float *out)
-{
-    double scale = ldexp(1.0, (int)level);
-    for (i64 i = 0; i < n; i++) {
-        double mu = u[i] / scale - 0.5;
-        double mv = v[i] / scale - 0.5;
-        double x0 = floor(mu), y0 = floor(mv);
-        double fx = mu - x0, fy = mv - y0;
-        double gx = 1.0 - fx, gy = 1.0 - fy;
-        i64 xi = (i64)x0, yi = (i64)y0;
-        i64 x0w = xi % w; if (x0w < 0) x0w += w;
-        i64 x1w = (xi + 1) % w; if (x1w < 0) x1w += w;
-        i64 y0w = yi % h; if (y0w < 0) y0w += h;
-        i64 y1w = (yi + 1) % h; if (y1w < 0) y1w += h;
-        const float *p00 = mip + (y0w * w + x0w) * nc;
-        const float *p10 = mip + (y0w * w + x1w) * nc;
-        const float *p01 = mip + (y1w * w + x0w) * nc;
-        const float *p11 = mip + (y1w * w + x1w) * nc;
-        for (i64 ch = 0; ch < nc; ch++) {
-            double a = ((double)p00[ch] * gx) * gy;
-            double b = ((double)p10[ch] * fx) * gy;
-            double cc = ((double)p01[ch] * gx) * fy;
-            double d = ((double)p11[ch] * fx) * fy;
-            out[i * nc + ch] = (float)(((a + b) + cc) + d);
-        }
-    }
-}
-
 /* Multi-level bilinear fetch: TextureUnit._bilinear's per-unique-level
    loop in one pass over a flattened mip chain.  flat holds every RGBA
    float32 mip concatenated; offs[l]/hs[l]/ws[l] give mip l's texel offset
-   and extents.  Each lane's math is the bilinear kernel above verbatim
-   (lanes are independent, so fusing the levels changes nothing). */
+   and extents.  Weights and accumulation follow numpy's evaluation order
+   and dtype promotion exactly: texels promote to double, products
+   associate as (((c*gx)*gy)), the sum left-to-right, and the final store
+   narrows to float with round-to-nearest, so colors are bit-identical to
+   the per-level numpy fetch (lanes are independent, so fusing the levels
+   changes nothing). */
 void bilinear_levels(const float *flat, const i64 *offs,
                      const i64 *hs, const i64 *ws, i64 nlevels,
                      const double *u, const double *v,
@@ -971,12 +919,6 @@ def _configure(lib: ctypes.CDLL) -> None:
         _F64P, ctypes.c_int64, ctypes.c_int64,
         _I64P, _I64P, ctypes.c_int64, _U8P,
     ]
-    lib.bilinear.restype = None
-    lib.bilinear.argtypes = [
-        _F32P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _F64P, _F64P, ctypes.c_int64,
-        ctypes.c_int64, _F32P,
-    ]
     lib.bilinear_levels.restype = None
     lib.bilinear_levels.argtypes = [
         _F32P, _I64P, _I64P, _I64P, ctypes.c_int64,
@@ -1038,33 +980,31 @@ def available() -> bool:
 
 def lru_run(
     stream: np.ndarray,
-    write_mode: int,
-    flags: np.ndarray | None,
-    lines: np.ndarray,
-    dirty: np.ndarray,
-    sizes: np.ndarray,
+    writes: bool | np.ndarray,
+    state: tuple[np.ndarray, np.ndarray, np.ndarray],
     nsets: int,
     ways: int,
     line_bytes: int,
     miss_buf: np.ndarray,
     evict_buf: np.ndarray,
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Run the kernel in place over ``lines``/``dirty``/``sizes``.
+    """Walk ``stream`` in place over a ``Cache.kernel_state`` triple.
 
+    ``writes`` is one flag for the whole stream or one per reference.
     Returns ``(hits, miss_lines, dirty_eviction_addrs)``; the state arrays
     are updated to the post-stream LRU contents.  ``miss_buf``/``evict_buf``
     are caller-owned scratch arrays of at least ``len(stream)`` entries; the
     returned arrays are trimmed copies.
     """
-    n = stream.shape[0]
     counts = np.zeros(3, dtype=np.int64)
-    if flags is None:
-        flags_ptr = None
+    if isinstance(writes, bool):
+        write_mode, flags_ptr = int(writes), None
     else:
-        flags_ptr = flags.ctypes.data_as(ctypes.c_void_p)
+        flags = np.ascontiguousarray(writes, dtype=np.uint8)
+        write_mode, flags_ptr = 2, flags.ctypes.data_as(ctypes.c_void_p)
     _lib.lru_run(
-        stream, n, write_mode, flags_ptr,
-        lines, dirty, sizes,
+        stream, stream.shape[0], write_mode, flags_ptr,
+        state[0], state[1], state[2],
         nsets, ways, line_bytes,
         miss_buf, evict_buf, counts,
     )
@@ -1188,18 +1128,6 @@ def blocks_uniform(
         color, color.shape[1], block, bx, by, bx.shape[0], out,
     )
     return out
-
-
-def bilinear(
-    mip: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    level: int,
-    out: np.ndarray,
-) -> None:
-    """Bilinear fetch from one (h, w, c) float32 mip into ``out``."""
-    h, w, nc = mip.shape
-    _lib.bilinear(mip, h, w, nc, u, v, u.shape[0], level, out)
 
 
 def bilinear_levels(

@@ -1,15 +1,22 @@
 """Set-associative LRU cache model.
 
-Used for the Z/stencil, color and texture (L0/L1) caches of Table XIV.  The
-model is a functional hit/miss simulator: ``access`` returns whether the line
-hit and which dirty line (if any) was evicted, so the calling stage can
-account the memory traffic.
+Used for the Z/stencil, color and texture (L0/L1) caches of Table XIV.
+:meth:`Cache.access_line` is the scalar reference step: it returns whether
+the line hit and which dirty line (if any) was evicted, so the calling
+stage can account the memory traffic.  :meth:`Cache.access_runs` is the one
+stream entry: it folds guaranteed hits out of a line stream, then walks the
+rest with one Python loop or, for long streams, the compiled ``lru_run``
+kernel.  Fused stage kernels borrow the LRU contents through
+:meth:`Cache.kernel_state`; no caller touches the per-set dicts.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -111,32 +118,46 @@ class Cache:
         cache_set[line] = write
         return False, evicted
 
-    def access_stream(
-        self, lines: np.ndarray, write: bool = False
-    ) -> "StreamResult":
-        """Run a whole line-index stream.
+    def access_runs(
+        self, lines: np.ndarray, writes: "bool | np.ndarray" = False
+    ) -> StreamResult:
+        """Run a line-index stream, as :meth:`access_line` per reference.
 
-        Consecutive duplicate lines are collapsed first — they are guaranteed
-        hits and dominate rasterization-order streams, which keeps the Python
-        loop short.  The collapsed references still count as hits so the
-        Table XIV hit rates reflect the real reference stream.
+        ``writes`` is one flag for the whole stream or one per reference.
+        Consecutive references to one line are collapsed into one access
+        whose write flag is the OR of the run (a line written anywhere in the
+        run is dirty) — they are guaranteed hits and dominate
+        rasterization-order streams.  The collapsed references still count
+        as hits so the Table XIV hit rates reflect the real reference stream.
         """
         lines = np.asarray(lines).reshape(-1)
+        if np.ndim(writes):
+            writes = np.asarray(writes, dtype=bool).reshape(-1)
+        else:
+            writes = bool(writes)
         if lines.size == 0:
             return StreamResult(0, [], [])
         self.accesses += int(lines.size)
         if lines.size < _NATIVE_MIN_STREAM:
-            # Short streams (per-triangle color groups dominate): the Python
-            # loop on the raw stream beats the numpy collapse passes, and the
-            # collapses are pure optimizations — results are identical.
-            return self._run_python(lines.tolist(), write)
-        keep = np.empty(lines.shape, dtype=bool)
-        keep[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        collapsed = lines[keep]
+            # Short streams: the Python loop on the raw stream beats the
+            # numpy collapse passes, and the collapses are pure
+            # optimizations — results are identical.
+            return self._run_collapsed(lines, writes)
+        boundaries = np.empty(lines.shape, dtype=bool)
+        boundaries[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=boundaries[1:])
+        starts = np.flatnonzero(boundaries)
+        collapsed = lines[starts]
         self.hits += int(lines.size - collapsed.size)
-        collapsed = self._collapse_alternation(collapsed)
-        return self._run_collapsed(collapsed, write)
+        if not isinstance(writes, bool):
+            writes = np.logical_or.reduceat(writes, starts)
+            if writes.any() != writes.all():
+                return self._run_collapsed(collapsed, writes)
+            writes = bool(writes[0])
+        # Uniform write flags additionally admit the alternation collapse
+        # (a dropped reference's dirty-bit effect is covered by the kept
+        # first reference of its run, which carries the same flag).
+        return self._run_collapsed(self._collapse_alternation(collapsed), writes)
 
     def _collapse_alternation(self, c: np.ndarray) -> np.ndarray:
         """Drop period-2 interior references (guaranteed hits, counted).
@@ -160,60 +181,81 @@ class Cache:
         self.hits += dropped
         return c[~drop]
 
-    def access_runs(
-        self, lines: np.ndarray, writes: np.ndarray
-    ) -> "StreamResult":
-        """Like :meth:`access_stream` with a per-reference write flag.
+    def _run_collapsed(
+        self, lines: np.ndarray, writes: "bool | np.ndarray"
+    ) -> StreamResult:
+        """Walk a (collapsed) stream: the compiled kernel when it is long.
 
-        Consecutive references to the same line are collapsed into one access
-        whose write flag is the OR of the run (a line written anywhere in the
-        run is dirty).
+        The loop in :meth:`_run_python_flags` is the reference and the
+        fallback when no kernel is built.
         """
-        lines = np.asarray(lines).reshape(-1)
-        writes = np.asarray(writes, dtype=bool).reshape(-1)
-        if lines.size == 0:
-            return StreamResult(0, [], [])
-        self.accesses += int(lines.size)
-        if lines.size < _NATIVE_MIN_STREAM:
-            return self._run_python_flags(lines.tolist(), writes.tolist())
-        boundaries = np.empty(lines.shape, dtype=bool)
-        boundaries[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=boundaries[1:])
-        starts = np.nonzero(boundaries)[0]
-        run_writes = np.logical_or.reduceat(writes, starts)
-        collapsed = lines[starts]
-        self.hits += int(lines.size - collapsed.size)
-        # Uniform write flags additionally admit the alternation collapse
-        # (a dropped reference's dirty-bit effect is covered by the kept
-        # first reference of its run, which carries the same flag).
-        if not run_writes.any():
-            return self._run_collapsed(self._collapse_alternation(collapsed), False)
-        if run_writes.all():
-            return self._run_collapsed(self._collapse_alternation(collapsed), True)
-        return self._run_collapsed_flags(collapsed, run_writes)
+        if lines.size >= _NATIVE_MIN_STREAM and _native.available():
+            if self._miss_buf.size < lines.size:
+                self._miss_buf = np.empty(2 * lines.size, dtype=np.int64)
+                self._evict_buf = np.empty(2 * lines.size, dtype=np.int64)
+            with self.kernel_state() as state:
+                hits, miss_lines, evictions = _native.lru_run(
+                    np.ascontiguousarray(lines, dtype=np.int64),
+                    writes,
+                    state,
+                    self._nsets,
+                    self._ways,
+                    self._line_bytes,
+                    self._miss_buf,
+                    self._evict_buf,
+                )
+            self.hits += hits
+            self.misses += miss_lines.size
+            return StreamResult(miss_lines.size, evictions, miss_lines)
+        flags = repeat(writes) if isinstance(writes, bool) else writes.tolist()
+        return self._run_python_flags(lines.tolist(), flags)
 
-    def _run_collapsed(self, collapsed: np.ndarray, write: bool) -> "StreamResult":
-        """Run a pre-collapsed stream with one uniform write flag.
+    def _run_python_flags(
+        self, lines: list[int], writes: Iterable[bool]
+    ) -> StreamResult:
+        """Inlined LRU loop over a line stream with its write flags.
 
-        Long streams go through the compiled LRU kernel when available; the
-        Python loop below is the reference implementation and the fallback.
+        Semantically identical to calling :meth:`access_line` per element;
+        the loop is inlined (with geometry in locals and a single-set
+        shortcut) because without the compiled kernel these few lines are
+        the simulator's hottest Python code by an order of magnitude.
         """
-        if collapsed.size >= _NATIVE_MIN_STREAM and _native.available():
-            return self._run_native(collapsed, 1 if write else 0, None)
-        return self._run_python(collapsed.tolist(), write)
+        sets = self._sets
+        nsets = self._nsets
+        ways = self._ways
+        line_bytes = self._line_bytes
+        single = sets[0] if nsets == 1 else None
+        hits = 0
+        evictions: list[int] = []
+        miss_lines: list[int] = []
+        for line, write in zip(lines, writes):
+            cache_set = single if single is not None else sets[line % nsets]
+            if line in cache_set:
+                hits += 1
+                cache_set.move_to_end(line)
+                if write:
+                    cache_set[line] = True
+                continue
+            miss_lines.append(line)
+            if len(cache_set) >= ways:
+                victim_line, dirty = cache_set.popitem(last=False)
+                if dirty:
+                    evictions.append(victim_line * line_bytes)
+            cache_set[line] = write
+        self.hits += hits
+        self.misses += len(miss_lines)
+        return StreamResult(len(miss_lines), evictions, miss_lines)
 
-    def _run_collapsed_flags(
-        self, collapsed: np.ndarray, run_writes: np.ndarray
-    ) -> "StreamResult":
-        """:meth:`_run_collapsed` with a per-access write flag."""
-        if collapsed.size >= _NATIVE_MIN_STREAM and _native.available():
-            return self._run_native(
-                collapsed, 2, np.ascontiguousarray(run_writes, dtype=np.uint8)
-            )
-        return self._run_python_flags(collapsed.tolist(), run_writes.tolist())
+    @contextmanager
+    def kernel_state(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Lend the LRU contents to a compiled kernel as flat arrays.
 
-    def _export_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten the per-set LRU dicts into kernel arrays (MRU-first)."""
+        Yields ``(lines, dirty, sizes)``: set ``s`` fills slots
+        ``s * ways`` to ``s * ways + sizes[s] - 1`` of ``lines`` (int64) and
+        ``dirty`` (uint8), most recently used first.  The kernel updates
+        the arrays in place; when the block exits normally they become the
+        cache's contents.
+        """
         nsets, ways = self._nsets, self._ways
         lines = np.zeros(nsets * ways, dtype=np.int64)
         dirty = np.zeros(nsets * ways, dtype=np.uint8)
@@ -221,131 +263,41 @@ class Cache:
         for index, cache_set in enumerate(self._sets):
             size = len(cache_set)
             sizes[index] = size
-            base = index * ways
             # OrderedDict iterates LRU → MRU; the kernel wants MRU first.
-            slot = base + size - 1
+            slot = index * ways + size - 1
             for line, is_dirty in cache_set.items():
                 lines[slot] = line
                 dirty[slot] = is_dirty
                 slot -= 1
-        return lines, dirty, sizes
-
-    def _import_state(
-        self, lines: np.ndarray, dirty: np.ndarray, sizes: np.ndarray
-    ) -> None:
-        """Rebuild the per-set LRU dicts from post-kernel arrays."""
-        ways = self._ways
+        yield lines, dirty, sizes
         line_list = lines.tolist()
         dirty_list = dirty.tolist()
-        for index in range(self._nsets):
-            cache_set: OrderedDict[int, bool] = OrderedDict()
+        for index in range(nsets):
+            cache_set = OrderedDict()
             base = index * ways
             for slot in range(base + int(sizes[index]) - 1, base - 1, -1):
                 cache_set[line_list[slot]] = bool(dirty_list[slot])
             self._sets[index] = cache_set
 
-    def _run_native(
-        self, collapsed: np.ndarray, write_mode: int, flags: np.ndarray | None
-    ) -> "StreamResult":
-        if self._miss_buf.size < collapsed.size:
-            self._miss_buf = np.empty(2 * collapsed.size, dtype=np.int64)
-            self._evict_buf = np.empty(2 * collapsed.size, dtype=np.int64)
-        lines, dirty, sizes = self._export_state()
-        hits, miss_lines, evictions = _native.lru_run(
-            np.ascontiguousarray(collapsed, dtype=np.int64),
-            write_mode,
-            flags,
-            lines,
-            dirty,
-            sizes,
-            self._nsets,
-            self._ways,
-            self._line_bytes,
-            self._miss_buf,
-            self._evict_buf,
-        )
-        self._import_state(lines, dirty, sizes)
-        self.hits += hits
-        self.misses += miss_lines.size
-        return StreamResult(miss_lines.size, evictions, miss_lines)
-
-    def _run_python(self, collapsed: list[int], write: bool) -> "StreamResult":
-        """Inlined LRU loop for a pre-collapsed stream, one write flag.
-
-        Semantically identical to calling :meth:`access_line` per element;
-        the loop is inlined (with geometry in locals and a direct-mapped
-        single-set shortcut) because these few lines are the simulator's
-        hottest Python code by an order of magnitude.
-        """
-        sets = self._sets
-        nsets = self._nsets
-        ways = self._ways
-        line_bytes = self._line_bytes
-        single = sets[0] if nsets == 1 else None
-        hits = 0
-        evictions: list[int] = []
-        miss_lines: list[int] = []
-        for line in collapsed:
-            cache_set = single if single is not None else sets[line % nsets]
-            if line in cache_set:
-                hits += 1
-                cache_set.move_to_end(line)
-                if write:
-                    cache_set[line] = True
-                continue
-            miss_lines.append(line)
-            if len(cache_set) >= ways:
-                victim_line, dirty = cache_set.popitem(last=False)
-                if dirty:
-                    evictions.append(victim_line * line_bytes)
-            cache_set[line] = write
-        self.hits += hits
-        self.misses += len(miss_lines)
-        return StreamResult(len(miss_lines), evictions, miss_lines)
-
-    def _run_python_flags(
-        self, collapsed: list[int], run_writes: list[bool]
-    ) -> "StreamResult":
-        """:meth:`_run_python` with a per-access write flag."""
-        sets = self._sets
-        nsets = self._nsets
-        ways = self._ways
-        line_bytes = self._line_bytes
-        single = sets[0] if nsets == 1 else None
-        hits = 0
-        evictions: list[int] = []
-        miss_lines: list[int] = []
-        for line, write in zip(collapsed, run_writes):
-            cache_set = single if single is not None else sets[line % nsets]
-            if line in cache_set:
-                hits += 1
-                cache_set.move_to_end(line)
-                if write:
-                    cache_set[line] = True
-                continue
-            miss_lines.append(line)
-            if len(cache_set) >= ways:
-                victim_line, dirty = cache_set.popitem(last=False)
-                if dirty:
-                    evictions.append(victim_line * line_bytes)
-            cache_set[line] = write
-        self.hits += hits
-        self.misses += len(miss_lines)
-        return StreamResult(len(miss_lines), evictions, miss_lines)
+    def invalidate(self) -> None:
+        """Drop every line without writeback; counters are kept."""
+        for cache_set in self._sets:
+            cache_set.clear()
 
     def flush(self) -> list[int]:
         """Evict everything; returns byte addresses of dirty lines."""
-        dirty_lines: list[int] = []
-        for cache_set in self._sets:
-            for line, dirty in cache_set.items():
-                if dirty:
-                    dirty_lines.append(line * self.config.line_bytes)
-            cache_set.clear()
+        dirty_lines = [
+            line * self._line_bytes
+            for cache_set in self._sets
+            for line, dirty in cache_set.items()
+            if dirty
+        ]
+        self.invalidate()
         return dirty_lines
 
     def contains(self, addr: int) -> bool:
         line = self.line_of(addr)
-        return line in self._sets[line % self.config.sets]
+        return line in self._sets[line % self._nsets]
 
     def reset_counters(self) -> None:
         self.hits = 0

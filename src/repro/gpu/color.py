@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.state import RenderState
 from repro.gpu import _native
 from repro.gpu.caches import Cache
 from repro.gpu.config import GpuConfig
@@ -33,8 +32,7 @@ class ColorStage:
 
     def invalidate_cache(self) -> None:
         """Drop contents without writeback (a color clear kills the data)."""
-        for cache_set in self.cache._sets:
-            cache_set.clear()
+        self.cache.invalidate()
 
     def process(
         self,
@@ -104,32 +102,31 @@ class ColorStage:
         nquads = qx.shape[0]
         if _native.available() and nquads:
             fb = self.fb
-            config = self.config
             cache = self.cache
-            state = cache._export_state()
+            cache_config = cache.config
             escratch = np.empty(nquads, dtype=np.int64)
-            counts = _native.colorpass(
-                np.ascontiguousarray(xs.reshape(-1), dtype=np.int64),
-                np.ascontiguousarray(ys.reshape(-1), dtype=np.int64),
-                np.ascontiguousarray(colors.reshape(-1, 4), dtype=np.float64),
-                np.ascontiguousarray(write_mask.reshape(-1), dtype=np.uint8),
-                np.ascontiguousarray(starts, dtype=np.int64),
-                np.ascontiguousarray(ends, dtype=np.int64),
-                mode,
-                fb.color,
-                fb.color_block_state,
-                fb.block,
-                fb.blocks_x,
-                state,
-                cache._nsets,
-                cache._ways,
-                cache._line_bytes,
-                bool(config.color_compression),
-                bool(config.color_fast_clear),
-                escratch,
-            )
+            with cache.kernel_state() as state:
+                counts = _native.colorpass(
+                    np.ascontiguousarray(xs.reshape(-1), dtype=np.int64),
+                    np.ascontiguousarray(ys.reshape(-1), dtype=np.int64),
+                    np.ascontiguousarray(colors.reshape(-1, 4), dtype=np.float64),
+                    np.ascontiguousarray(write_mask.reshape(-1), dtype=np.uint8),
+                    np.ascontiguousarray(starts, dtype=np.int64),
+                    np.ascontiguousarray(ends, dtype=np.int64),
+                    mode,
+                    fb.color,
+                    fb.color_block_state,
+                    fb.block,
+                    fb.blocks_x,
+                    state,
+                    cache_config.sets,
+                    cache_config.ways,
+                    cache_config.line_bytes,
+                    bool(self.config.color_compression),
+                    bool(self.config.color_fast_clear),
+                    escratch,
+                )
             accesses, hits, misses, read_bytes, write_bytes = counts
-            cache._import_state(*state)
             cache.accesses += accesses
             cache.hits += hits
             cache.misses += misses
@@ -181,8 +178,8 @@ class ColorStage:
             return
         bx, by = fb.quad_block_coords(qx, qy)
         lines = fb.block_line_index(bx, by)
-        result = self.cache.access_stream(lines, write=True)
-        # Batched exactly like ZStencilStage._account_result: miss fills
+        result = self.cache.access_runs(lines, True)
+        # Batched exactly like ZStencilStage.account_stream: miss fills
         # only read block states, uniformity probes only read the color
         # plane (blending for this batch already happened above).
         misses = np.asarray(result.miss_lines, dtype=np.int64)
@@ -200,7 +197,7 @@ class ColorStage:
             self._write_back_lines(evictions // line_bytes)
 
     def _write_back_lines(self, lines: np.ndarray) -> None:
-        """Vectorized :meth:`_write_back` over a line-index array."""
+        """Write back evicted lines, compressing the uniform blocks."""
         fb = self.fb
         line_bytes = self.config.color_cache.line_bytes
         ys, xs = np.divmod(lines, fb.blocks_x)
@@ -218,14 +215,3 @@ class ColorStage:
         addrs = np.asarray(self.cache.flush(), dtype=np.int64)
         if addrs.size:
             self._write_back_lines(addrs // self.config.color_cache.line_bytes)
-
-    def _write_back(self, line: int) -> None:
-        fb = self.fb
-        line_bytes = self.config.color_cache.line_bytes
-        y, x = divmod(line, fb.blocks_x)
-        if self.config.color_compression and fb.color_block_uniform(x, y):
-            self.memory.write(MemClient.COLOR, line_bytes // 2)
-            fb.color_block_state[y, x] = BlockState.COMPRESSED
-        else:
-            self.memory.write(MemClient.COLOR, line_bytes)
-            fb.color_block_state[y, x] = BlockState.UNCOMPRESSED

@@ -60,17 +60,16 @@ class Framebuffer:
         self.stencil_clear_value = 0
 
     # -- clears -----------------------------------------------------------
-    def clear_depth_stencil(self, depth: float = 1.0, stencil: int = 0) -> None:
-        """Fast clear: reset planes and mark every block CLEARED (no traffic)."""
+    def clear_depth(self, depth: float = 1.0) -> None:
+        """Depth fast clear: reset z and HZ, mark every Z block CLEARED.
+
+        No memory traffic; the stencil plane keeps its values.
+        """
         self.z.fill(depth)
-        self.stencil.fill(stencil)
         self.z_block_state.fill(BlockState.CLEARED)
         self.hz_max.fill(depth)
         self.hz_min.fill(depth)
-        self.hz_stencil_min.fill(stencil)
-        self.hz_stencil_max.fill(stencil)
         self.z_clear_value = depth
-        self.stencil_clear_value = stencil
 
     def clear_stencil_only(self, stencil: int = 0) -> None:
         """Stencil-plane fast clear.

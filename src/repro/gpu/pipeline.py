@@ -263,14 +263,11 @@ class GpuSimulator:
         return _CP_CALL_BYTES
 
     def _apply_clear(self, call: Clear) -> None:
-        if call.depth and call.stencil:
-            self.fb.clear_depth_stencil(call.depth_value, call.stencil_value)
+        if call.depth:
+            self.fb.clear_depth(call.depth_value)
             self.zstencil.invalidate_cache()
-        elif call.stencil:
+        if call.stencil:
             self.fb.clear_stencil_only(call.stencil_value)
-        elif call.depth:
-            self.fb.clear_depth_stencil(call.depth_value, self.fb.stencil_clear_value)
-            self.zstencil.invalidate_cache()
         if call.color:
             self.fb.clear_color(call.color_value)
             self.color_stage.invalidate_cache()

@@ -11,7 +11,7 @@ L1 misses are the GDDR texture traffic of Tables XV-XVII.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -63,7 +63,7 @@ class TextureResource:
         format: TextureFormat = TextureFormat.DXT1,
     ) -> "TextureResource":
         """Build the full mip chain from a base image by box filtering."""
-        base = np.asarray(image, dtype=np.float32)
+        base = np.ascontiguousarray(image, dtype=np.float32)
         if base.ndim != 3 or base.shape[2] != 4:
             raise ValueError("image must be (h, w, 4)")
         h, w = base.shape[:2]
@@ -177,9 +177,8 @@ class TextureUnit:
         shard a run by frame ranges bit-identically.  Hit/miss/access
         counters are preserved (they span the whole run).
         """
-        for cache in (self.l0, self.l1):
-            for cache_set in cache._sets:
-                cache_set.clear()
+        self.l0.invalidate()
+        self.l1.invalidate()
 
     def set_filter(self, filter: TextureFilter, max_aniso: int | None = None) -> None:
         self._filter = filter
@@ -295,41 +294,42 @@ class TextureUnit:
             # stream (bit-identical addresses to the numpy construction
             # below) and walks it through the L0 and L1 LRU state inline,
             # without materializing any intermediate.  The raw walk counts
-            # exactly what the collapse passes in ``access_stream`` count:
+            # exactly what the collapse passes in ``access_runs`` count:
             # those passes only drop guaranteed hits, which the walk scores
             # as hits anyway, and leave the same final LRU contents.
             mip0_i = np.ascontiguousarray(mip0_c, dtype=np.int64)
             probes_i = np.ascontiguousarray(probes_c, dtype=np.int64)
             mips_i = np.ascontiguousarray(mips_c, dtype=np.int64)
             bucket = np.empty(max(int(probes_i.sum()), 1), dtype=np.int64)
-            l0_state = self.l0._export_state()
-            l1_state = self.l1._export_state()
-            counts = _native.texcache(
-                np.ascontiguousarray(u_c),
-                np.ascontiguousarray(v_c),
-                np.ascontiguousarray(du_c, dtype=np.float64),
-                np.ascontiguousarray(dv_c, dtype=np.float64),
-                mip0_i,
-                probes_i,
-                mips_i,
-                max_probes,
-                resource.levels - 1,
-                resource.width,
-                resource.height,
-                mip_offsets,
-                resource.base_address,
-                block_bytes,
-                bucket,
-                l0_state,
-                (self.l0._nsets, self.l0._ways),
-                l1_state,
-                (self.l1._nsets, self.l1._ways),
-                self.config.texture_l1.line_bytes,
-            )
+            l0_config, l1_config = self.l0.config, self.l1.config
+            with (
+                self.l0.kernel_state() as l0_state,
+                self.l1.kernel_state() as l1_state,
+            ):
+                counts = _native.texcache(
+                    np.ascontiguousarray(u_c),
+                    np.ascontiguousarray(v_c),
+                    np.ascontiguousarray(du_c, dtype=np.float64),
+                    np.ascontiguousarray(dv_c, dtype=np.float64),
+                    mip0_i,
+                    probes_i,
+                    mips_i,
+                    max_probes,
+                    resource.levels - 1,
+                    resource.width,
+                    resource.height,
+                    mip_offsets,
+                    resource.base_address,
+                    block_bytes,
+                    bucket,
+                    l0_state,
+                    (l0_config.sets, l0_config.ways),
+                    l1_state,
+                    (l1_config.sets, l1_config.ways),
+                    l1_config.line_bytes,
+                )
             if counts is not None:
                 emitted, l0_hits, l0_misses, l1_hits, l1_misses = counts
-                self.l0._import_state(*l0_state)
-                self.l1._import_state(*l1_state)
                 self.l0.accesses += emitted
                 self.l0.hits += l0_hits
                 self.l0.misses += l0_misses
@@ -338,8 +338,7 @@ class TextureUnit:
                 self.l1.misses += l1_misses
                 if l1_misses:
                     self.memory.read(
-                        MemClient.TEXTURE,
-                        l1_misses * self.config.texture_l1.line_bytes,
+                        MemClient.TEXTURE, l1_misses * l1_config.line_bytes
                     )
                 return
         # The reference stream is probe-major: probe p of every lane that has
@@ -376,8 +375,7 @@ class TextureUnit:
             # bound the footprint's cache-line spread, so the hit rates
             # reflect texel traffic like Table XIV does, at half the
             # reference-stream cost of all four corners.  The mip geometry
-            # is shared by both corners (same arithmetic as
-            # _block_byte_addr, hoisted).
+            # is shared by both corners.
             clamped = np.minimum(level, 30)
             pitch = np.power(2.0, level.astype(np.float64))
             w = np.maximum(resource.width >> clamped, 1)
@@ -435,43 +433,19 @@ class TextureUnit:
             return
         # One L0 line holds one decompressed 4x4 block.
         l0_lines = block_addrs // block_bytes
-        l0_result = self.l0.access_stream(l0_lines, write=False)
+        l0_result = self.l0.access_runs(l0_lines)
         if l0_result.misses == 0:
             return
         # L0 misses fetch the compressed block through L1 (64 B lines hold
         # several DXT blocks, which is where compressed-space locality pays).
         miss_block_addrs = np.asarray(l0_result.miss_lines, dtype=np.int64) * block_bytes
         l1_lines = miss_block_addrs // self.config.texture_l1.line_bytes
-        l1_result = self.l1.access_stream(l1_lines, write=False)
+        l1_result = self.l1.access_runs(l1_lines)
         if l1_result.misses:
             self.memory.read(
                 MemClient.TEXTURE,
                 l1_result.misses * self.config.texture_l1.line_bytes,
             )
-
-    def _block_byte_addr(
-        self,
-        resource: TextureResource,
-        u: np.ndarray,
-        v: np.ndarray,
-        level: np.ndarray,
-        mip_offsets: np.ndarray,
-    ) -> np.ndarray:
-        """Compressed byte address of the 4x4 block holding texel (u, v).
-
-        (u, v) are base-mip texel units; blocks are Morton-laid within each
-        mip for 2D locality in the compressed address space.
-        """
-        scale = np.power(2.0, level.astype(np.float64))
-        w = np.maximum(resource.width >> np.minimum(level, 30), 1)
-        h = np.maximum(resource.height >> np.minimum(level, 30), 1)
-        tx = np.floor(u / scale).astype(np.int64) % w
-        ty = np.floor(v / scale).astype(np.int64) % h
-        bx = tx // 4
-        by = ty // 4
-        block = morton2d(bx.astype(np.uint64), by.astype(np.uint64)).astype(np.int64)
-        offs = np.asarray(mip_offsets, dtype=np.int64)[np.minimum(level, len(mip_offsets) - 1)]
-        return resource.base_address + offs + block * resource.format.block_bytes
 
     def _flat_mips(
         self, resource: TextureResource
@@ -523,12 +497,11 @@ class TextureUnit:
         self, resource: TextureResource, u: np.ndarray, v: np.ndarray, mip0: np.ndarray
     ) -> np.ndarray:
         """Bilinear color fetch at the floor mip (color approximation)."""
-        use_native = _native.available()
-        if use_native and u.dtype == np.float64 and v.dtype == np.float64:
+        if _native.available() and u.dtype == np.float64 and v.dtype == np.float64:
             packed = self._flat_mips(resource)
             if packed is not None:
                 # One fused pass over all lanes regardless of mip level;
-                # per-lane arithmetic is the single-level kernel verbatim.
+                # per-lane arithmetic is the numpy loop below verbatim.
                 flat, offs, hs, ws = packed
                 fused = np.empty((u.shape[0], 4), dtype=np.float32)
                 _native.bilinear_levels(
@@ -546,20 +519,6 @@ class TextureUnit:
         for level in np.unique(mip0):
             sel = mip0 == level
             mip = resource.mips[int(level)]
-            if (
-                use_native
-                and u.dtype == np.float64
-                and v.dtype == np.float64
-                and mip.dtype == np.float32
-                and mip.flags.c_contiguous
-                and mip.shape[-1] == 4
-            ):
-                us = np.ascontiguousarray(u[sel])
-                vs = np.ascontiguousarray(v[sel])
-                res = np.empty((us.shape[0], 4), dtype=np.float32)
-                _native.bilinear(mip, us, vs, int(level), res)
-                out[sel] = res
-                continue
             h, w = mip.shape[:2]
             mu = u[sel] / (1 << int(level)) - 0.5
             mv = v[sel] / (1 << int(level)) - 0.5

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.state import RenderState, StencilSide
+from repro.api.state import RenderState
 from repro.gpu.caches import Cache
 from repro.gpu.config import GpuConfig
 from repro.gpu.framebuffer import BlockState, Framebuffer
@@ -70,8 +70,7 @@ class ZStencilStage:
 
     def invalidate_cache(self) -> None:
         """Drop cache contents without writeback (fast clear kills the data)."""
-        for cache_set in self.cache._sets:
-            cache_set.clear()
+        self.cache.invalidate()
 
     def process(
         self, quads: QuadBatch, state: RenderState, alive: np.ndarray
@@ -130,7 +129,7 @@ class ZStencilStage:
                 fb.z[ys[write_mask], xs[write_mask]] = quads.z[write_mask]
                 wrote_any |= write_mask.any(axis=1)
 
-        self._account_cache(quads, wrote_any)
+        self.account_stream(quads.qx, quads.qy, wrote_any)
         return ZStencilResult(pass_mask=passed, wrote=wrote_any)
 
     def test_write(
@@ -224,12 +223,12 @@ class ZStencilStage:
     ) -> None:
         """Cache/memory accounting for a draw's post-HZ stream, in order.
 
-        The per-triangle path issues one :meth:`Cache.access_runs` call per
-        triangle; because both stream methods collapse consecutive duplicate
-        lines into one access (counted as hits), splitting or merging the
-        reference stream at any boundary yields the identical hit/miss/
-        eviction sequence — so one deferred call over the whole draw matches
-        the baseline exactly.
+        The per-triangle path (:meth:`process`) calls this once per
+        triangle; because :meth:`Cache.access_runs` collapses consecutive
+        duplicate lines into one access (counted as hits), splitting or
+        merging the reference stream at any boundary yields the identical
+        hit/miss/eviction sequence — so one deferred call over the whole
+        draw matches the baseline exactly.
 
         One deliberate approximation: dirty evictions probe
         ``z_block_compressible`` against the *end-of-draw* z contents rather
@@ -245,19 +244,9 @@ class ZStencilStage:
         to -0.58%.
         """
         fb = self.fb
-        bx, by = fb.quad_block_coords(qx, qy)
-        lines = fb.block_line_index(bx, by)
-        self._account_result(self.cache.access_runs(lines, wrote))
-
-    def _account_cache(self, quads: QuadBatch, wrote: np.ndarray) -> None:
-        fb = self.fb
-        bx, by = fb.quad_block_coords(quads.qx, quads.qy)
-        lines = fb.block_line_index(bx, by)
-        self._account_result(self.cache.access_runs(lines, wrote))
-
-    def _account_result(self, result) -> None:
-        fb = self.fb
         config = self.config
+        bx, by = fb.quad_block_coords(qx, qy)
+        result = self.cache.access_runs(fb.block_line_index(bx, by), wrote)
         line_bytes = config.zstencil_cache.line_bytes
         # Miss fills: cost depends on the block's in-memory state.  The
         # whole batch reads states up front — the miss loop never writes

@@ -182,25 +182,6 @@ def ws_encode(payload: bytes | str, opcode: int = 0x1, mask: bool = False) -> by
     return bytes(head) + payload
 
 
-async def ws_read(reader: asyncio.StreamReader) -> tuple[int, bytes]:
-    """Read one frame: ``(opcode, payload)``; unmasks client frames."""
-    first, second = await reader.readexactly(2)
-    opcode = first & 0x0F
-    masked = bool(second & 0x80)
-    length = second & 0x7F
-    if length == 126:
-        (length,) = struct.unpack(">H", await reader.readexactly(2))
-    elif length == 127:
-        (length,) = struct.unpack(">Q", await reader.readexactly(8))
-    if length > MAX_BODY_BYTES:
-        raise BadRequest("websocket frame too large")
-    key = await reader.readexactly(4) if masked else None
-    payload = await reader.readexactly(length)
-    if key:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return opcode, payload
-
-
 #: WebSocket opcodes the service uses.
 WS_TEXT = 0x1
 WS_CLOSE = 0x8

@@ -17,8 +17,6 @@ Two render paths cover the paper's workloads:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.api.commands import (
@@ -26,7 +24,6 @@ from repro.api.commands import (
     BindTexture,
     Clear,
     Draw,
-    GraphicsApi,
     SetState,
     SetUniform,
     UploadResource,
@@ -310,10 +307,6 @@ class GameEngine:
         lo = max(0, room - self.params.visible_rooms_behind)
         hi = min(self.scene.rooms - 1, room + self.params.visible_rooms_ahead)
         return self.scene.objects_in_rooms(set(range(lo, hi + 1)))
-
-    def _room_light(self, room: int) -> np.ndarray:
-        width, height, length = self.params.room_size
-        return np.array([0.0, height - 0.5, -(room + 0.5) * length])
 
     # -- call emission ----------------------------------------------------------
     def _upload_calls(self, frame: int, total_frames: int) -> list:

@@ -48,7 +48,8 @@ class TestFramebuffer:
     def test_clear_depth_stencil(self):
         fb = Framebuffer(64, 64)
         fb.z[:] = 0.5
-        fb.clear_depth_stencil(1.0, 3)
+        fb.clear_depth(1.0)
+        fb.clear_stencil_only(3)
         assert (fb.z == 1.0).all()
         assert (fb.stencil == 3).all()
         assert (fb.z_block_state == BlockState.CLEARED).all()

@@ -20,6 +20,7 @@ from repro.geometry.mesh import Mesh
 from repro.geometry.primitives import PrimitiveType
 from repro.gpu import perf
 from repro.gpu.config import GpuConfig
+from repro.gpu.framebuffer import BlockState
 from repro.gpu.memory import MemoryController
 from repro.gpu.pipeline import GpuSimulator
 from repro.gpu.stats import MemClient, QuadFate
@@ -227,6 +228,34 @@ class TestPipelineBasics:
         sim, result = run(frame_calls(mesh), mesh, vp, fp, tex)
         assert result.memory.reads[MemClient.DAC] == W * H * 4
         assert result.memory.reads[MemClient.CP] > 0
+
+
+class TestClears:
+    def test_depth_only_clear_keeps_stencil(self):
+        """A depth-only Clear resets the depth side alone."""
+        mesh, vp, fp, tex = simple_scene()
+        replace = StencilSide(zpass="replace")
+        calls = frame_calls(
+            mesh,
+            extra_state=[
+                SetState("stencil_test", True),
+                SetState("stencil_func", "always"),
+                SetState("stencil_ref", 5),
+                SetState("stencil_front", replace),
+                SetState("stencil_back", replace),
+            ],
+        )
+        calls.append(Clear(color=False, stencil=False, depth_value=0.5))
+        sim, _ = run(calls, mesh, vp, fp, tex)
+        fb = sim.fb
+        assert fb.stencil_clear_value == 0
+        assert (fb.stencil == 5).sum() > 100  # the draw's marks survive
+        assert fb.hz_stencil_max.max() == 5
+        assert (fb.z == 0.5).all() and fb.z_clear_value == 0.5
+        assert (fb.hz_max == 0.5).all() and (fb.hz_min == 0.5).all()
+        assert (fb.z_block_state == BlockState.CLEARED).all()
+        with sim.zstencil.cache.kernel_state() as (_, _, sizes):
+            assert not sizes.any()  # the Z cache was dropped
 
 
 class TestStencilShadowIntegration:

@@ -31,7 +31,7 @@ class TestMinMaxHz:
 
     def test_cleared_band_collapses_to_clear_depth(self):
         fb = Framebuffer(64, 64)
-        fb.clear_depth_stencil(1.0, 0)
+        fb.clear_depth(1.0)
         culled = fb.hz_minmax_equal_cull_mask(
             np.array([0]), np.array([0]), np.array([0.5]), np.array([0.6])
         )

@@ -116,7 +116,7 @@ def test_tipsify_is_permutation(tri_list):
 @settings(max_examples=50)
 def test_cache_counters_partition_references(lines):
     cache = Cache(CacheConfig(512, 64, 4, "t"))
-    result = cache.access_stream(np.array(lines))
+    result = cache.access_runs(np.array(lines))
     assert cache.hits + cache.misses == len(lines)
     assert result.misses == cache.misses
     assert len(result.miss_lines) == result.misses
@@ -129,7 +129,7 @@ def test_cache_counters_partition_references(lines):
 def test_small_working_set_only_compulsory_misses(lines):
     """A working set that fits in the cache misses once per distinct line."""
     cache = Cache(CacheConfig(16 * 64, 64, 16, "t"))  # 16 lines, fully assoc
-    cache.access_stream(np.array(lines))
+    cache.access_runs(np.array(lines))
     assert cache.misses == len(set(lines))
 
 
