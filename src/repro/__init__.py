@@ -33,7 +33,7 @@ from repro.gpu.config import GpuConfig
 from repro.gpu.pipeline import GpuSimulator, SimulationResult
 from repro.workloads import build_workload, all_workloads, workload
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "ApiTracer",

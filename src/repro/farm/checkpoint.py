@@ -9,7 +9,11 @@ state machine over the frames before its slice, then simulates only its
 own.  Checkpointing stays for recovery inside a slice — the whole
 :class:`~repro.gpu.pipeline.GpuSimulator` pickles cleanly, so an
 interrupted worker restarts from the last completed frame instead of frame
-zero, bit-identically (covered by ``tests/test_farm.py``).
+zero, bit-identically (covered by ``tests/test_farm.py``).  A checkpoint
+keeps the workload's resources as built — mesh arrays, normals a generator
+supplied, each texture's extent and recipe — but not what is derived on
+first read: vertex normals and texels stay out of it, and the resumed
+simulator derives them again when it first reads them.
 
 Trace generation is the other shared cost: every shard of one run replays
 the *same* call stream, so :func:`job_trace` resolves it through a

@@ -62,6 +62,11 @@ DEFAULT_DIRNAME = ".repro-cache"
 #: checkpoints and quarantined evidence are never evicted.
 QUOTA_DIRS = ("artifacts", "traces")
 
+#: Suffix of a write in flight (:func:`_atomic_write`).  Such a file is
+#: another writer's, about to be renamed into place: the quota neither
+#: counts nor evicts it.
+TEMP_SUFFIX = ".tmp"
+
 #: Everything unpickling truncated/garbage/foreign bytes is known to raise.
 #: ``MemoryError`` belongs here: a corrupted length prefix can demand an
 #: absurd allocation long before any opcode fails to parse.
@@ -88,7 +93,7 @@ def default_cache_dir() -> pathlib.Path:
 def _atomic_write(path: pathlib.Path, *parts: bytes) -> None:
     """Write ``parts`` back to back into ``path`` with one ``os.replace``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=TEMP_SUFFIX)
     try:
         with os.fdopen(fd, "wb") as handle:
             for part in parts:
@@ -417,7 +422,10 @@ class ArtifactStore:
         is the newest member's mtime, written at save time and refreshed on
         every artifact load, so sorting by it is LRU order.  Quarantined
         files are not families — they are evidence, never candidates for
-        reuse *or* eviction.
+        reuse *or* eviction.  Nor is a write in flight (a
+        :data:`TEMP_SUFFIX` file): evicting it would make its writer's
+        rename fail.  A temp file that a killed writer left behind is
+        reclaimed by :meth:`clear`.
         """
         groups: dict[tuple[str, str], list[pathlib.Path]] = {}
         for name in QUOTA_DIRS:
@@ -425,6 +433,8 @@ class ArtifactStore:
             if not directory.is_dir():
                 continue
             for path in directory.iterdir():
+                if path.name.endswith(TEMP_SUFFIX):
+                    continue
                 stem = path.name.split(".", 1)[0]
                 groups.setdefault((name, stem), []).append(path)
         families = []

@@ -357,10 +357,11 @@ class ShadowCaster:
     """The light-independent half of shadow-volume extrusion for one mesh.
 
     Welds vertices by position, assembles triangles and computes face
-    normals and undirected edge ids once; :meth:`extrude` then builds the
-    volume for any light with array operations.  A scene extrudes each
-    caster mesh once per placed instance and room light, so it builds one
-    caster per mesh and reuses it.
+    normals and undirected edge ids once; :meth:`extrude` then builds one
+    volume per light with array operations, all lights of a call at once.
+    A scene extrudes each caster mesh for every placed instance's room
+    lights, so it builds one caster per mesh and calls it once per
+    instance.
     """
 
     def __init__(self, mesh: Mesh):
@@ -396,72 +397,96 @@ class ShadowCaster:
         self.edge_ids = edge_ids.reshape(-1, 3)
         self.edge_count = int(self.edge_ids.max()) + 1
 
-    def extrude(
-        self, light_dir, extrusion: float = 200.0, name: str | None = None
-    ) -> Mesh:
-        """The closed z-fail shadow volume of this caster along ``light_dir``.
+    def extrude(self, light_dirs, extrusions, names) -> list[Mesh]:
+        """The closed z-fail shadow volume of this caster for each light.
 
-        Vertices are emitted side quads first, in the order their edge
-        first appears among lit triangles, then each lit triangle's front
-        and back cap; the weld keeps each position's first occurrence.
+        ``light_dirs``, ``extrusions`` and ``names`` hold one entry per
+        light (a ``None`` name means ``<mesh>.shadow``); one volume is
+        returned per light, in order.  Lights are stacked on a leading
+        axis for edge classification and vertex emission; each light is
+        normalized and welded on its own, so every volume is the same as
+        a one-light call's.  Vertices are emitted side quads first, in the
+        order their edge first appears among lit triangles, then each lit
+        triangle's front and back cap; the weld keeps each position's
+        first occurrence.
         """
-        light = np.asarray(light_dir, dtype=np.float64)
-        norm = np.linalg.norm(light)
-        if norm == 0.0:
-            raise ValueError("light_dir must be non-zero")
-        light = light / norm
+        lights = []
+        for light_dir in light_dirs:
+            light = np.asarray(light_dir, dtype=np.float64)
+            norm = np.linalg.norm(light)
+            if norm == 0.0:
+                raise ValueError("light_dir must be non-zero")
+            lights.append(light / norm)
+        count = len(lights)
+        if count == 0:
+            return []
         # A face "faces the light" when the light arrives against its normal.
-        lit = (self.face_normals @ light) < 0.0
+        lit = np.stack([(self.face_normals @ light) < 0.0 for light in lights])
 
         # A silhouette edge separates a light-facing triangle from a
         # back-facing one (or is an open boundary of a light-facing triangle).
+        # Edge ids are offset per light so one bincount serves every light.
+        edges = self.edge_ids + (self.edge_count * np.arange(count))[:, None, None]
         front = lit & self.solid
-        lit_edges = self.edge_ids[front].ravel()
-        lit_count = np.bincount(lit_edges, minlength=self.edge_count)
+        lit_edges = edges[front].ravel()
+        lit_count = np.bincount(lit_edges, minlength=count * self.edge_count)
         unlit_count = np.bincount(
-            self.edge_ids[~lit & self.solid].ravel(), minlength=self.edge_count
+            edges[~lit & self.solid].ravel(), minlength=count * self.edge_count
         )
         silhouette = (lit_count == 1) & (unlit_count != 2)
         on_silhouette = silhouette[lit_edges]
-        tails = self.tris[front].ravel()[on_silhouette]
-        heads = self.heads[front].ravel()[on_silhouette]
+        side_light = lit_edges[on_silhouette] // self.edge_count
+        tris = np.broadcast_to(self.tris, edges.shape)
+        tails = tris[front].ravel()[on_silhouette]
+        heads = np.broadcast_to(self.heads, edges.shape)[front].ravel()[on_silhouette]
 
-        offset = light * extrusion
+        offsets = np.stack(lights) * np.asarray(extrusions, dtype=np.float64)[:, None]
         # The directed edge (u -> v) belongs to a lit (front cap) face; the
         # side quad must traverse it the opposite way (v -> u) so the volume
         # closes with consistent outward winding.
         pu, pv = self.rep[tails], self.rep[heads]
+        offset = offsets[side_light]
         sides = np.stack((pv, pu, pu + offset, pv + offset), axis=1)
-        pa, pb, pc = (
-            self.rep[corner] for corner in self.tris[lit & self.capped].T
-        )
+        cap_mask = lit & self.capped
+        cap_light = np.nonzero(cap_mask)[0]
+        pa, pb, pc = (self.rep[corner] for corner in tris[cap_mask].T)
+        offset = offsets[cap_light]
         # Front cap, then the back cap: extruded, winding flipped.
-        caps = np.stack(
-            (pa, pb, pc, pc + offset, pb + offset, pa + offset), axis=1
-        )
-        positions = np.concatenate((sides.reshape(-1, 3), caps.reshape(-1, 3)))
-        side_count = tails.size
-        indices = np.concatenate(
-            (
-                (4 * np.arange(side_count)[:, None] + _SIDE_QUAD).ravel(),
-                np.arange(4 * side_count, positions.shape[0]),
-            )
-        )
+        caps = np.stack((pa, pb, pc, pc + offset, pb + offset, pa + offset), axis=1)
+        side_bounds = np.searchsorted(side_light, np.arange(count + 1))
+        cap_bounds = np.searchsorted(cap_light, np.arange(count + 1))
 
-        # Weld duplicate vertices so the volume is indexed like real engine
-        # volumes are — silhouette/cap vertices are shared, which matters for
-        # the post-transform vertex cache statistics.
-        first_ids, inverse = _weld_rows(
-            np.round(positions * 1024.0).astype(np.int64)
-        )
-        welded_positions = positions[first_ids]
-        return Mesh(
-            name=name or f"{self.name}.shadow",
-            positions=welded_positions,
-            indices=inverse[indices].astype(np.int32),
-            uvs=np.zeros((welded_positions.shape[0], 2)),
-            index_size_bytes=self.index_size_bytes,
-        )
+        volumes = []
+        for index, name in enumerate(names):
+            light_sides = sides[side_bounds[index] : side_bounds[index + 1]]
+            light_caps = caps[cap_bounds[index] : cap_bounds[index + 1]]
+            positions = np.concatenate(
+                (light_sides.reshape(-1, 3), light_caps.reshape(-1, 3))
+            )
+            side_count = light_sides.shape[0]
+            indices = np.concatenate(
+                (
+                    (4 * np.arange(side_count)[:, None] + _SIDE_QUAD).ravel(),
+                    np.arange(4 * side_count, positions.shape[0]),
+                )
+            )
+            # Weld duplicate vertices so the volume is indexed like real
+            # engine volumes are — silhouette/cap vertices are shared, which
+            # matters for the post-transform vertex cache statistics.
+            first_ids, inverse = _weld_rows(
+                np.round(positions * 1024.0).astype(np.int64)
+            )
+            welded_positions = positions[first_ids]
+            volumes.append(
+                Mesh(
+                    name=name or f"{self.name}.shadow",
+                    positions=welded_positions,
+                    indices=inverse[indices].astype(np.int32),
+                    uvs=np.zeros((welded_positions.shape[0], 2)),
+                    index_size_bytes=self.index_size_bytes,
+                )
+            )
+        return volumes
 
 
 def extrude_shadow_volume(
@@ -477,7 +502,7 @@ def extrude_shadow_volume(
     silhouette (edges between a light-facing and a back-facing triangle).
     Duplicate vertices are welded by position so non-indexed-shared meshes
     still produce watertight silhouettes.  To extrude one mesh for several
-    lights, build its :class:`ShadowCaster` once and call
-    :meth:`ShadowCaster.extrude` per light.
+    lights, build its :class:`ShadowCaster` once and pass them all to one
+    :meth:`ShadowCaster.extrude` call.
     """
-    return ShadowCaster(mesh).extrude(light_dir, extrusion, name)
+    return ShadowCaster(mesh).extrude([light_dir], [extrusion], [name])[0]

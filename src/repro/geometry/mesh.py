@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,49 +42,81 @@ class VertexLayout:
         return stride
 
 
-@dataclass
 class Mesh:
     """Indexed triangle geometry, the unit the engines upload at startup.
 
     ``index_size_bytes`` is 2 or 4 and, per the paper, is constant per
     middleware (Unreal/Source/Lithtech use 16-bit indices, idTech4 32-bit).
+
+    Normals a caller supplies are validated here and pickled with the
+    mesh.  Without them, :attr:`normals` derives area-weighted vertex
+    normals on first read and memoizes them; derived normals stay out of
+    pickles.  Only lit vertex shading reads normals, so API and
+    geometry-only runs never compute them.
     """
 
-    name: str
-    positions: np.ndarray
-    indices: np.ndarray
-    primitive: PrimitiveType = PrimitiveType.TRIANGLE_LIST
-    normals: np.ndarray | None = None
-    uvs: np.ndarray | None = None
-    colors: np.ndarray | None = None
-    index_size_bytes: int = 2
-    extra_attributes: int = 0  # tangent/uv1-style padding attributes
-    _bounds: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
-        self.indices = np.asarray(self.indices, dtype=np.int32).reshape(-1)
-        if self.index_size_bytes not in (2, 4):
+    def __init__(
+        self,
+        name: str,
+        positions: np.ndarray,
+        indices: np.ndarray,
+        primitive: PrimitiveType = PrimitiveType.TRIANGLE_LIST,
+        normals: np.ndarray | None = None,
+        uvs: np.ndarray | None = None,
+        colors: np.ndarray | None = None,
+        index_size_bytes: int = 2,
+        extra_attributes: int = 0,  # tangent/uv1-style padding attributes
+    ) -> None:
+        self.name = name
+        self.positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        self.indices = np.asarray(indices, dtype=np.int32).reshape(-1)
+        self.primitive = primitive
+        self.index_size_bytes = index_size_bytes
+        self.extra_attributes = extra_attributes
+        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
+        if index_size_bytes not in (2, 4):
             raise ValueError("index_size_bytes must be 2 or 4")
         n = self.vertex_count
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
             raise ValueError(f"{self.name}: indices out of range [0, {n})")
-        if self.normals is None:
-            self.normals = self._compute_normals()
-        else:
-            self.normals = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
-        if self.uvs is None:
+        self._normals_given = normals is not None
+        if normals is not None:
+            self.normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
+        if uvs is None:
             self.uvs = self._planar_uvs()
         else:
-            self.uvs = np.asarray(self.uvs, dtype=np.float64).reshape(-1, 2)
-        if self.colors is not None:
-            self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 4)
+            self.uvs = np.asarray(uvs, dtype=np.float64).reshape(-1, 2)
+        self.colors = colors
+        if colors is not None:
+            self.colors = np.asarray(colors, dtype=np.float64).reshape(-1, 4)
         for attr_name in ("normals", "uvs", "colors"):
-            arr = getattr(self, attr_name)
+            arr = self.__dict__.get(attr_name)
             if arr is not None and arr.shape[0] != n:
                 raise ValueError(f"{self.name}: {attr_name} count != vertex count")
+
+    @functools.cached_property
+    def normals(self) -> np.ndarray:
+        """Area-weighted vertex normals from the triangle faces."""
+        normals = np.zeros_like(self.positions)
+        tris = self.triangles()
+        if tris.shape[0] == 0:
+            normals[:, 1] = 1.0
+            return normals
+        p0 = self.positions[tris[:, 0]]
+        e1 = self.positions[tris[:, 1]] - p0
+        e2 = self.positions[tris[:, 2]] - p0
+        face = np.cross(e1, e2)
+        for c in range(3):
+            np.add.at(normals, tris[:, c], face)
+        lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+        lengths[lengths == 0.0] = 1.0
+        return normals / lengths
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        if not self._normals_given:
+            state.pop("normals", None)  # derived: recomputed on first read
+        return state
 
     @property
     def vertex_count(self) -> int:
@@ -131,23 +164,6 @@ class Mesh:
         center = (lo + hi) / 2.0
         radius = float(np.linalg.norm(hi - center))
         return center, radius
-
-    def _compute_normals(self) -> np.ndarray:
-        """Area-weighted vertex normals from the triangle faces."""
-        normals = np.zeros_like(self.positions)
-        tris = self.triangles()
-        if tris.shape[0] == 0:
-            normals[:, 1] = 1.0
-            return normals
-        p0 = self.positions[tris[:, 0]]
-        e1 = self.positions[tris[:, 1]] - p0
-        e2 = self.positions[tris[:, 2]] - p0
-        face = np.cross(e1, e2)
-        for c in range(3):
-            np.add.at(normals, tris[:, c], face)
-        lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-        lengths[lengths == 0.0] = 1.0
-        return normals / lengths
 
     def _planar_uvs(self) -> np.ndarray:
         """Fallback planar UVs over the dominant extent (tiled ~4x)."""

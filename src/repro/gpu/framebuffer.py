@@ -193,22 +193,15 @@ class Framebuffer:
         view = self.z.reshape(self.blocks_y, b, self.blocks_x, b)
         return view[by, :, bx, :]
 
-    def z_block_compressible(self, bx: int, by: int) -> bool:
-        """Planar-fit check: a block covered by few triangles stores as planes.
+    def z_blocks_compressible(self, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+        """Planar-fit check per block: few-triangle blocks store as planes.
 
         The real scheme (ATI Hyper-Z) keeps plane equations per block; a
         single-triangle block is exactly planar.  We fit a plane from three
         corners and accept small residuals (two-plane blocks roughly halve
-        compressibility, which the tolerance approximates).
+        compressibility, which the tolerance approximates).  ``bx``/``by``
+        are block-coordinate arrays; the result is one flag per block.
         """
-        return bool(
-            self.z_blocks_compressible(
-                np.asarray([bx], dtype=np.int64), np.asarray([by], dtype=np.int64)
-            )[0]
-        )
-
-    def z_blocks_compressible(self, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`z_block_compressible` over block-coordinate arrays."""
         b = self.block
         tiles = self._z_tiles(bx, by)
         z00 = tiles[:, 0, 0]
@@ -222,22 +215,14 @@ class Framebuffer:
         )
         return np.abs(tiles - plane).max(axis=(1, 2)) < 1e-5
 
-    def color_block_uniform(self, bx: int, by: int) -> bool:
+    def color_blocks_uniform(self, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
         """The paper's color compression "only works for blocks of pixels
-        with the same color".
+        with the same color": one flag per block of ``bx``/``by``.
 
         Uniformity is judged at the framebuffer's 8-bit precision — the
         stored surface is RGBA8, so colors within half an LSB are the same
         stored value.
         """
-        return bool(
-            self.color_blocks_uniform(
-                np.asarray([bx], dtype=np.int64), np.asarray([by], dtype=np.int64)
-            )[0]
-        )
-
-    def color_blocks_uniform(self, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`color_block_uniform` over block-coordinate arrays."""
         b = self.block
         if _native.available():
             flags = _native.blocks_uniform(

@@ -467,7 +467,7 @@ class GpuSimulator:
                 fstats.complete_quads_zstencil += int(alive.all(axis=1).sum())
                 zres = self.zstencil.process(qb, state, alive)
                 if state.depth_write:
-                    self.zstencil.update_hz(qb, zres.wrote)
+                    self.zstencil.update_hz_quads(qb.qx, qb.qy, zres.wrote)
                 surviving = zres.pass_mask.any(axis=1)
                 fstats.count_quad_fates(
                     QuadFate.ZSTENCIL, int((~surviving).sum())
@@ -548,7 +548,7 @@ class GpuSimulator:
                 fstats.complete_quads_zstencil += int(live.all(axis=1).sum())
                 zres = self.zstencil.process(qb, state, live)
                 if state.depth_write:
-                    self.zstencil.update_hz(qb, zres.wrote)
+                    self.zstencil.update_hz_quads(qb.qx, qb.qy, zres.wrote)
                 surviving = zres.pass_mask.any(axis=1)
                 fstats.count_quad_fates(QuadFate.ZSTENCIL, int((~surviving).sum()))
                 if not surviving.any():

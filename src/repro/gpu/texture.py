@@ -11,6 +11,7 @@ L1 misses are the GDDR texture traffic of Tables XV-XVII.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,14 +48,48 @@ class TextureFilter(Enum):
     ANISOTROPIC = "anisotropic"
 
 
-@dataclass
-class TextureResource:
-    """An immutable mip-mapped 2D texture resident in GPU memory."""
+def _copy_image(image: np.ndarray, out: np.ndarray) -> None:
+    out[...] = image
 
-    name: str
-    mips: list[np.ndarray]  # each (h, w, 4) float32, halving per level
-    format: TextureFormat = TextureFormat.DXT1
-    base_address: int = 0  # assigned at registration
+
+class TextureResource:
+    """A mip-mapped 2D texture resident in GPU memory, rendered on first read.
+
+    A texture keeps its name, format, extent and a *recipe*: ``fill``, a
+    picklable callable that writes the base level into an ``(h, w, 4)``
+    float32 array.  Width, height, levels, :meth:`mip_block_offsets` and
+    :attr:`compressed_bytes` — all the API trace and texture registration
+    read — follow from the extent, so they never render a texel.
+
+    The first texel read renders the base level and box-filters the chain
+    into one contiguous float32 ``(texels, 4)`` buffer, :attr:`texels`
+    (level after level, each row-major); :attr:`mips` are ``(h, w, 4)``
+    views into it.  Texels are derived: they stay out of pickles and are
+    rendered again after unpickling.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        width: int,
+        height: int,
+        fill,
+        format: TextureFormat = TextureFormat.DXT1,
+    ):
+        if width < 1 or height < 1 or width & (width - 1) or height & (height - 1):
+            raise ValueError("texture dimensions must be powers of two")
+        self.name = name
+        self.width = width
+        self.height = height
+        self.fill = fill
+        self.format = format
+        self.base_address = 0  # assigned at registration
+        extents = [(height, width)]
+        while height > 1 or width > 1:
+            height, width = max(1, height // 2), max(1, width // 2)
+            extents.append((height, width))
+        #: ``(h, w)`` of every level, halving down to 1x1.
+        self.extents = tuple(extents)
 
     @staticmethod
     def from_image(
@@ -62,47 +97,69 @@ class TextureResource:
         image: np.ndarray,
         format: TextureFormat = TextureFormat.DXT1,
     ) -> "TextureResource":
-        """Build the full mip chain from a base image by box filtering."""
-        base = np.ascontiguousarray(image, dtype=np.float32)
+        """A texture whose base level is ``image``; its recipe keeps a copy."""
+        base = np.array(image, dtype=np.float32)
         if base.ndim != 3 or base.shape[2] != 4:
             raise ValueError("image must be (h, w, 4)")
         h, w = base.shape[:2]
-        if h & (h - 1) or w & (w - 1):
-            raise ValueError("texture dimensions must be powers of two")
-        mips = [base]
-        while h > 1 or w > 1:
-            nh, nw = max(1, h // 2), max(1, w // 2)
-            prev = mips[-1]
-            if h > 1 and w > 1:
-                next_mip = prev.reshape(nh, 2, nw, 2, 4).mean(axis=(1, 3))
-            elif h > 1:
-                next_mip = prev.reshape(nh, 2, nw, 4).mean(axis=1)
-            else:
-                next_mip = prev.reshape(nh, nw, 2, 4).mean(axis=2)
-            mips.append(next_mip.astype(np.float32))
-            h, w = nh, nw
-        return TextureResource(name=name, mips=mips, format=format)
-
-    @property
-    def width(self) -> int:
-        return self.mips[0].shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.mips[0].shape[0]
+        return TextureResource(name, w, h, functools.partial(_copy_image, base), format)
 
     @property
     def levels(self) -> int:
-        return len(self.mips)
+        return len(self.extents)
+
+    @functools.cached_property
+    def level_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(offsets, heights, widths)`` of each level in :attr:`texels`."""
+        hs = np.asarray([h for h, _ in self.extents], dtype=np.int64)
+        ws = np.asarray([w for _, w in self.extents], dtype=np.int64)
+        offsets = np.zeros(len(hs), dtype=np.int64)
+        np.cumsum((hs * ws)[:-1], out=offsets[1:])
+        return offsets, hs, ws
+
+    def _level_views(self, texels: np.ndarray) -> list[np.ndarray]:
+        offsets, hs, ws = self.level_layout
+        return [
+            texels[o : o + h * w].reshape(h, w, 4)
+            for o, h, w in zip(offsets.tolist(), hs.tolist(), ws.tolist())
+        ]
+
+    @functools.cached_property
+    def texels(self) -> np.ndarray:
+        """Every level's RGBA texels in one contiguous float32 buffer."""
+        offsets, hs, ws = self.level_layout
+        texels = np.empty((int(offsets[-1] + hs[-1] * ws[-1]), 4), dtype=np.float32)
+        levels = self._level_views(texels)
+        self.fill(levels[0])
+        for prev, out in zip(levels, levels[1:]):
+            (h, w), (nh, nw) = prev.shape[:2], out.shape[:2]
+            if h > 1 and w > 1:
+                np.mean(prev.reshape(nh, 2, nw, 2, 4), axis=(1, 3), out=out)
+            elif h > 1:
+                np.mean(prev.reshape(nh, 2, nw, 4), axis=1, out=out)
+            else:
+                np.mean(prev.reshape(nh, nw, 2, 4), axis=2, out=out)
+        return texels
+
+    @functools.cached_property
+    def mips(self) -> list[np.ndarray]:
+        """Each level as an ``(h, w, 4)`` view into :attr:`texels`."""
+        return self._level_views(self.texels)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("texels", None)  # derived: rendered again on first read
+        state.pop("mips", None)
+        return state
 
     def mip_block_offsets(self) -> list[int]:
         """Byte offset of each mip level (in compressed blocks, Morton laid)."""
         offsets = []
         offset = 0
-        for mip in self.mips:
+        for h, w in self.extents:
             offsets.append(offset)
-            blocks_x = -(-mip.shape[1] // 4)
-            blocks_y = -(-mip.shape[0] // 4)
+            blocks_x = -(-w // 4)
+            blocks_y = -(-h // 4)
             # Morton layout needs a square power-of-two extent.
             extent = 1 << max(blocks_x - 1, blocks_y - 1, 1).bit_length()
             offset += extent * extent * self.format.block_bytes
@@ -110,9 +167,7 @@ class TextureResource:
 
     @property
     def compressed_bytes(self) -> int:
-        total = sum(
-            (-(-m.shape[1] // 4)) * (-(-m.shape[0] // 4)) for m in self.mips
-        )
+        total = sum((-(-w // 4)) * (-(-h // 4)) for h, w in self.extents)
         return total * self.format.block_bytes
 
 
@@ -447,74 +502,23 @@ class TextureUnit:
                 l1_result.misses * self.config.texture_l1.line_bytes,
             )
 
-    def _flat_mips(
-        self, resource: TextureResource
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """Flattened mip chain for the fused fetch kernel, memoized.
-
-        Returns ``(flat, offs, hs, ws)`` — every RGBA float32 mip
-        concatenated texel-major with per-level texel offsets and extents —
-        or ``None`` when any mip is not a contiguous (h, w, 4) float32
-        array.  The memo is keyed by resource name and identity-checked so
-        a re-registered resource rebuilds its entry.
-        """
-        cache = getattr(self, "_flat_cache", None)
-        if cache is None:
-            cache = self._flat_cache = {}
-        entry = cache.get(resource.name)
-        if entry is not None and entry[0] is resource:
-            return entry[1]
-        for mip in resource.mips:
-            if not (
-                mip.dtype == np.float32
-                and mip.flags.c_contiguous
-                and mip.ndim == 3
-                and mip.shape[2] == 4
-            ):
-                return None
-        offs = np.zeros(len(resource.mips), dtype=np.int64)
-        texels = 0
-        for index, mip in enumerate(resource.mips):
-            offs[index] = texels
-            texels += mip.shape[0] * mip.shape[1]
-        flat = np.concatenate([m.reshape(-1, 4) for m in resource.mips])
-        flat = np.ascontiguousarray(flat, dtype=np.float32)
-        hs = np.asarray([m.shape[0] for m in resource.mips], dtype=np.int64)
-        ws = np.asarray([m.shape[1] for m in resource.mips], dtype=np.int64)
-        packed = (flat, offs, hs, ws)
-        cache[resource.name] = (resource, packed)
-        return packed
-
-    def __getstate__(self) -> dict:
-        # The flattened-mip memo is derived workspace: it doubles the
-        # texel payload and is rebuilt on demand, so keep it out of
-        # pickled artifacts (content addressing needs minimal state).
-        state = dict(self.__dict__)
-        state.pop("_flat_cache", None)
-        return state
-
     def _bilinear(
         self, resource: TextureResource, u: np.ndarray, v: np.ndarray, mip0: np.ndarray
     ) -> np.ndarray:
         """Bilinear color fetch at the floor mip (color approximation)."""
         if _native.available() and u.dtype == np.float64 and v.dtype == np.float64:
-            packed = self._flat_mips(resource)
-            if packed is not None:
-                # One fused pass over all lanes regardless of mip level;
-                # per-lane arithmetic is the numpy loop below verbatim.
-                flat, offs, hs, ws = packed
-                fused = np.empty((u.shape[0], 4), dtype=np.float32)
-                _native.bilinear_levels(
-                    flat,
-                    offs,
-                    hs,
-                    ws,
-                    np.ascontiguousarray(u),
-                    np.ascontiguousarray(v),
-                    np.ascontiguousarray(mip0, dtype=np.int64),
-                    fused,
-                )
-                return fused
+            # One fused pass over all lanes regardless of mip level;
+            # per-lane arithmetic is the numpy loop below verbatim.
+            fused = np.empty((u.shape[0], 4), dtype=np.float32)
+            _native.bilinear_levels(
+                resource.texels,
+                *resource.level_layout,
+                np.ascontiguousarray(u),
+                np.ascontiguousarray(v),
+                np.ascontiguousarray(mip0, dtype=np.int64),
+                fused,
+            )
+            return fused
         out = np.empty((u.shape[0], 4), dtype=np.float32)
         for level in np.unique(mip0):
             sel = mip0 == level

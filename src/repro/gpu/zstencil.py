@@ -204,14 +204,14 @@ class ZStencilStage:
 
         return ZStencilResult(pass_mask=passed, wrote=wrote_any)
 
-    def update_hz(self, quads: QuadBatch, wrote: np.ndarray) -> None:
-        """Refresh the on-die HZ max for blocks whose z changed."""
-        self.update_hz_quads(quads.qx, quads.qy, wrote)
-
     def update_hz_quads(
         self, qx: np.ndarray, qy: np.ndarray, wrote: np.ndarray
     ) -> None:
-        """:meth:`update_hz` over plain quad-coordinate arrays."""
+        """Refresh the on-die HZ max for blocks whose z changed.
+
+        ``qx``/``qy`` are quad coordinates and ``wrote`` flags the quads
+        that wrote z or stencil.
+        """
         if not wrote.any():
             return
         bx, by = self.fb.quad_block_coords(qx[wrote], qy[wrote])
@@ -231,7 +231,7 @@ class ZStencilStage:
         draw matches the baseline exactly.
 
         One deliberate approximation: dirty evictions probe
-        ``z_block_compressible`` against the *end-of-draw* z contents rather
+        ``z_blocks_compressible`` against the *end-of-draw* z contents rather
         than the mid-draw contents the per-triangle path would see, which
         can flip a writeback between compressed and raw size (and so the
         block state a later miss reads).  This affects only z memory byte

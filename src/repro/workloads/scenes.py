@@ -240,7 +240,8 @@ def build_corridor_scene(
         )
         scene.meshes[pillar_mesh.name] = pillar_mesh
 
-    # Light-independent extrusion state, built once per caster mesh.
+    # Light-independent extrusion state, built once per caster mesh and
+    # called once per placed instance with all of its room's lights.
     shadow_casters: dict[str, ShadowCaster] = {}
 
     for r in range(params.rooms):
@@ -275,8 +276,8 @@ def build_corridor_scene(
                 shadow = shadow_casters.get(mesh.name)
                 if shadow is None:
                     shadow = shadow_casters[mesh.name] = ShadowCaster(mesh)
-                volume_names: list[str] = []
-                for li, light_pos in enumerate(light_positions):
+                light_dirs, extrusions = [], []
+                for light_pos in light_positions:
                     light_dir_world = center_w - light_pos
                     norm_w = np.linalg.norm(light_dir_world)
                     if norm_w < 1e-9:
@@ -290,12 +291,18 @@ def build_corridor_scene(
                     if dir_unit[1] < -0.05:
                         floor_travel = (center_w[1] + 0.3) / -dir_unit[1]
                         extrusion = min(extrusion, floor_travel)
-                    light_dir_local = model[:3, :3].T @ light_dir_world
-                    volume = shadow.extrude(
-                        light_dir_local,
-                        extrusion=extrusion,
-                        name=f"{mesh.name}.vol.r{r}{tag}l{li}",
-                    )
+                    light_dirs.append(model[:3, :3].T @ light_dir_world)
+                    extrusions.append(extrusion)
+                volumes = shadow.extrude(
+                    light_dirs,
+                    extrusions,
+                    [
+                        f"{mesh.name}.vol.r{r}{tag}l{li}"
+                        for li in range(len(light_positions))
+                    ],
+                )
+                volume_names: list[str] = []
+                for volume in volumes:
                     if volume.index_count >= 3:
                         volume.index_size_bytes = index_size
                         scene.meshes[volume.name] = volume

@@ -8,21 +8,33 @@ the idTech4 interaction shaders sample.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.gpu.texture import TextureFormat, TextureResource
 
 
-def _value_noise(rng: np.random.Generator, size: int, octaves: int = 4) -> np.ndarray:
-    """Tileable multi-octave value noise in [0, 1]."""
-    out = np.zeros((size, size))
-    amplitude = 1.0
-    total = 0.0
+def _noise_lattices(
+    rng: np.random.Generator, size: int, octaves: int = 4
+) -> list[np.ndarray]:
+    """The random lattices of :func:`_value_noise`, one per octave."""
+    lattices = []
     for octave in range(octaves):
         cells = 2 ** (octave + 2)
         if cells > size:
             break
-        lattice = rng.random((cells, cells))
+        lattices.append(rng.random((cells, cells)))
+    return lattices
+
+
+def _value_noise(lattices: list[np.ndarray], size: int) -> np.ndarray:
+    """Tileable multi-octave value noise in [0, 1] over drawn lattices."""
+    out = np.zeros((size, size))
+    amplitude = 1.0
+    total = 0.0
+    for lattice in lattices:
+        cells = lattice.shape[0]
         big = np.kron(lattice, np.ones((size // cells, size // cells)))
         # Cheap smoothing: average with a rolled copy for soft edges.
         big = 0.5 * big + 0.25 * np.roll(big, size // (2 * cells), axis=0) + 0.25 * np.roll(
@@ -34,22 +46,38 @@ def _value_noise(rng: np.random.Generator, size: int, octaves: int = 4) -> np.nd
     return out / total
 
 
-def _material_image(rng: np.random.Generator, size: int, palette: np.ndarray) -> np.ndarray:
-    """A tiled material: noise base + occasional panel lines."""
-    noise = _value_noise(rng, size)
+def _material_image(
+    lattices: list[np.ndarray],
+    period: int | None,
+    palette: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """A tiled material: noise base + panel lines every ``period`` texels
+    (none when ``period`` is None)."""
+    size = out.shape[0]
+    noise = _value_noise(lattices, size)
     base = palette[0] + (palette[1] - palette[0]) * noise[..., None]
-    if rng.random() < 0.5:
-        period = int(2 ** rng.integers(4, 6))
+    if period is not None:
         lines = ((np.arange(size) % period) < 2).astype(float)
         darken = 1.0 - 0.35 * np.maximum(lines[None, :], lines[:, None])
         base = base * darken[..., None]
-    img = np.empty((size, size, 4), dtype=np.float32)
-    img[..., :3] = np.clip(base, 0.0, 1.0)
-    img[..., 3] = 1.0
-    return img
+    out[..., :3] = np.clip(base, 0.0, 1.0)
+    out[..., 3] = 1.0
 
 
-def _cutout_image(rng: np.random.Generator, size: int, palette: np.ndarray) -> np.ndarray:
+def _material_recipe(rng: np.random.Generator, size: int, palette: np.ndarray):
+    """Draw a material's randomness now; render it on first texel read."""
+    lattices = _noise_lattices(rng, size)
+    period = int(2 ** rng.integers(4, 6)) if rng.random() < 0.5 else None
+    return functools.partial(_material_image, lattices, period, palette)
+
+
+def _cutout_image(
+    lattices: list[np.ndarray],
+    mask_lattices: list[np.ndarray],
+    palette: np.ndarray,
+    out: np.ndarray,
+) -> None:
     """Alpha-cutout sheet (foliage/grate): ~45% transparent texels.
 
     The alpha mask thresholds *low-frequency* noise so the opaque and
@@ -57,26 +85,24 @@ def _cutout_image(rng: np.random.Generator, size: int, palette: np.ndarray) -> n
     filtering, keeping the alpha test effective when the sheet is minified
     (the paper's UT2004 alpha-kill rate comes from such materials).
     """
-    noise = _value_noise(rng, size, octaves=5)
-    mask_noise = _value_noise(rng, size, octaves=2)
-    img = np.empty((size, size, 4), dtype=np.float32)
-    img[..., :3] = np.clip(
+    size = out.shape[0]
+    noise = _value_noise(lattices, size)
+    mask_noise = _value_noise(mask_lattices, size)
+    out[..., :3] = np.clip(
         palette[0] + (palette[1] - palette[0]) * noise[..., None], 0.0, 1.0
     )
-    img[..., 3] = (mask_noise > 0.5).astype(np.float32)
-    return img
+    out[..., 3] = (mask_noise > 0.5).astype(np.float32)
 
 
-def _falloff_image(size: int) -> np.ndarray:
+def _falloff_image(out: np.ndarray) -> None:
     """Radial light-falloff map (idTech4 samples one per interaction)."""
+    size = out.shape[0]
     ys, xs = np.mgrid[0:size, 0:size]
     cx = (size - 1) / 2.0
     r = np.hypot(xs - cx, ys - cx) / cx
     value = np.clip(1.0 - r, 0.0, 1.0) ** 1.5
-    img = np.empty((size, size, 4), dtype=np.float32)
-    img[..., :3] = value[..., None]
-    img[..., 3] = 1.0
-    return img
+    out[..., :3] = value[..., None]
+    out[..., 3] = 1.0
 
 
 _PALETTES = {
@@ -99,27 +125,40 @@ def build_texture_set(
 
     Returns ``material_count`` DXT1 materials named ``{prefix}.matN``, the
     requested number of DXT5 cutouts (``{prefix}.cutN``) and one light
-    falloff map (``{prefix}.falloff``).
+    falloff map (``{prefix}.falloff``).  Every random draw is taken here,
+    in texture order; each texture keeps its draws in its recipe and
+    renders its texels on first read (see :class:`TextureResource`).
     """
     if palette not in _PALETTES:
         raise KeyError(f"unknown palette {palette!r}")
     rng = np.random.default_rng(seed)
     colors = _PALETTES[palette]
     textures = [
-        TextureResource.from_image(
-            f"{prefix}.mat{i}", _material_image(rng, size, colors), TextureFormat.DXT1
+        TextureResource(
+            f"{prefix}.mat{i}",
+            size,
+            size,
+            _material_recipe(rng, size, colors),
+            TextureFormat.DXT1,
         )
         for i in range(material_count)
     ]
-    textures.extend(
-        TextureResource.from_image(
-            f"{prefix}.cut{i}", _cutout_image(rng, size, colors), TextureFormat.DXT5
+    for i in range(cutouts):
+        lattices = _noise_lattices(rng, size, octaves=5)
+        mask_lattices = _noise_lattices(rng, size, octaves=2)
+        textures.append(
+            TextureResource(
+                f"{prefix}.cut{i}",
+                size,
+                size,
+                functools.partial(_cutout_image, lattices, mask_lattices, colors),
+                TextureFormat.DXT5,
+            )
         )
-        for i in range(cutouts)
-    )
+    falloff = max(64, size // 2)
     textures.append(
-        TextureResource.from_image(
-            f"{prefix}.falloff", _falloff_image(max(64, size // 2)), TextureFormat.DXT1
+        TextureResource(
+            f"{prefix}.falloff", falloff, falloff, _falloff_image, TextureFormat.DXT1
         )
     )
     return textures

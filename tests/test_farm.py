@@ -12,8 +12,10 @@ Covers the subsystem's five load-bearing guarantees:
 
 from __future__ import annotations
 
+import functools
 import os
 import pathlib
+import pickle
 import time
 
 import pytest
@@ -31,6 +33,7 @@ from repro.farm import (
 )
 from repro.farm.checkpoint import run_checkpointed
 from repro.gpu.config import GpuConfig
+from repro.workloads import build_workload
 
 WORKLOAD = "UT2004/Primeval"
 OTHER = "Doom3/trdemo2"
@@ -199,6 +202,76 @@ class TestWorkloadBuilds:
         outcome = run_job(job, str(tmp_path))
         assert outcome.from_cache
         assert builds == []
+
+    @pytest.fixture
+    def reads(self, monkeypatch, builds):
+        """Names of the textures rendered, meshes whose normals were
+        derived and textures sampled, in call order."""
+        from repro.geometry.mesh import Mesh
+        from repro.gpu.texture import TextureResource, TextureUnit
+
+        seen = {"rendered": [], "derived": [], "sampled": []}
+
+        def count(cls, attr, log):
+            compute = getattr(cls, attr).func
+
+            def counting(obj):
+                seen[log].append(obj.name)
+                return compute(obj)
+
+            prop = functools.cached_property(counting)
+            prop.__set_name__(cls, attr)
+            monkeypatch.setattr(cls, attr, prop)
+
+        count(TextureResource, "texels", "rendered")
+        count(Mesh, "normals", "derived")
+        sample = TextureUnit.__call__
+
+        def sampling(unit, index, coords):
+            seen["sampled"].append(unit._bindings.get(index))
+            return sample(unit, index, coords)
+
+        monkeypatch.setattr(TextureUnit, "__call__", sampling)
+        return seen
+
+    @pytest.mark.parametrize(
+        "job", [api_job(OTHER, 1), geometry_job(OTHER, 1)], ids=["api", "geometry"]
+    )
+    def test_api_and_geometry_jobs_read_no_texel_or_normal(
+        self, tmp_path, reads, job
+    ):
+        outcome = run_job(job, str(tmp_path))
+        assert not outcome.from_cache and outcome.result is not None
+        assert reads == {"rendered": [], "derived": [], "sampled": []}
+
+    def test_sim_job_renders_only_sampled_textures(self, tmp_path, reads):
+        from repro.farm.checkpoint import build_job_workload
+
+        job = sim_job(WORKLOAD, 1)
+        run_job(job, str(tmp_path))
+        sampled = set(reads["sampled"])
+        assert reads["rendered"] and len(set(reads["rendered"])) == len(
+            reads["rendered"]
+        )
+        assert set(reads["rendered"]) == sampled
+        textures = {t.name for t in build_job_workload(job).textures}
+        assert sampled < textures
+
+    @pytest.mark.parametrize("name", [WORKLOAD, OTHER, "Quake4/demo4"])
+    def test_pickled_simulator_holds_no_texels_or_derived_normals(self, name):
+        workload = build_workload(name, sim=True)
+        sim = workload.simulator()
+        for mesh in workload.meshes.values():
+            mesh.normals
+        for texture in workload.textures:
+            texture.mips
+        blob = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) <= 5_000_000
+        clone = pickle.loads(blob)
+        for texture in clone.texture_unit._resources.values():
+            assert "texels" not in vars(texture) and "mips" not in vars(texture)
+        for mesh in clone.meshes.values():
+            assert "normals" not in vars(mesh)
 
 
 # -- checkpoint / resume ----------------------------------------------------

@@ -140,7 +140,9 @@ class TestShadowVolume:
         with pytest.raises(ValueError, match="non-zero"):
             extrude_shadow_volume(caster, (0, 0, 0))
         with pytest.raises(ValueError, match="non-zero"):
-            ShadowCaster(caster).extrude((0.0, 0.0, 0.0))
+            ShadowCaster(caster).extrude(
+                [(0.0, 1.0, 0.0), (0.0, 0.0, 0.0)], [1.0, 1.0], [None, None]
+            )
         with pytest.raises(ValueError, match="non-zero"):
             loop_extrude_shadow_volume(caster, (0, 0, 0))
 
@@ -265,10 +267,11 @@ def assert_matches_loop(mesh: Mesh, light_dir, extrusion=200.0, name=None):
 
 @pytest.fixture(scope="module")
 def doom3_extrusions():
-    """Every extrusion the Doom3/trdemo2 sim-profile scene build makes.
+    """Every volume the Doom3/trdemo2 sim-profile scene build extrudes.
 
-    Each entry is the (mesh, light direction, extrusion, name) arguments
-    and the bytes of the volume the scene got back.
+    The scene makes one call per caster instance, for all of its room's
+    lights; each entry is one light's (mesh, light direction, extrusion,
+    name) arguments and the bytes of the volume the call returned for it.
     """
     from repro.workloads.generator import GameWorkload
     from repro.workloads.registry import workload
@@ -281,11 +284,14 @@ def doom3_extrusions():
         sources[id(self)] = mesh
         init(self, mesh)
 
-    def recording_extrude(self, light_dir, extrusion=200.0, name=None):
-        volume = extrude(self, light_dir, extrusion, name)
-        args = (sources[id(self)], np.array(light_dir), extrusion, name)
-        calls.append((args, volume_bytes(volume)))
-        return volume
+    def recording_extrude(self, light_dirs, extrusions, names):
+        volumes = extrude(self, light_dirs, extrusions, names)
+        for light_dir, extrusion, name, volume in zip(
+            light_dirs, extrusions, names, volumes, strict=True
+        ):
+            args = (sources[id(self)], np.array(light_dir), extrusion, name)
+            calls.append((args, volume_bytes(volume)))
+        return volumes
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ShadowCaster, "__init__", recording_init)
@@ -369,11 +375,14 @@ class TestArrayExtrusionMatchesLoop:
         ]
         for mesh in meshes:
             caster = ShadowCaster(mesh)
-            for light in rng.normal(size=(6, 3)):
-                extrusion = float(rng.uniform(1.0, 40.0))
+            lights = rng.normal(size=(6, 3))
+            extrusions = [float(rng.uniform(1.0, 40.0)) for _ in lights]
+            volumes = caster.extrude(lights, extrusions, [None] * len(lights))
+            assert len(volumes) == len(lights)
+            for light, extrusion, got in zip(lights, extrusions, volumes):
                 want = loop_extrude_shadow_volume(mesh, light, extrusion)
-                got = caster.extrude(light, extrusion)
                 assert volume_bytes(got) == volume_bytes(want)
+        assert ShadowCaster(meshes[0]).extrude([], [], []) == []
 
     def test_weld_rows_equals_unique(self):
         rng = np.random.default_rng(5)

@@ -7,6 +7,9 @@ from repro.gpu.framebuffer import BlockState, Framebuffer
 from repro.gpu.memory import MemoryController
 from repro.gpu.stats import MemClient
 
+#: Block (0, 0) as the one-element coordinate arrays the block probes take.
+BLOCK_00 = (np.array([0]), np.array([0]))
+
 
 class TestMemoryController:
     def test_accounting(self):
@@ -84,15 +87,15 @@ class TestFramebuffer:
         fb = Framebuffer(64, 64)
         ys, xs = np.mgrid[0:8, 0:8]
         fb.z[0:8, 0:8] = 0.5 + 0.01 * xs + 0.002 * ys
-        assert fb.z_block_compressible(0, 0)
+        assert fb.z_blocks_compressible(*BLOCK_00)[0]
         fb.z[3, 3] = 0.9  # break planarity
-        assert not fb.z_block_compressible(0, 0)
+        assert not fb.z_blocks_compressible(*BLOCK_00)[0]
 
     def test_color_block_uniform(self):
         fb = Framebuffer(64, 64)
-        assert fb.color_block_uniform(0, 0)
+        assert fb.color_blocks_uniform(*BLOCK_00)[0]
         fb.color[2, 2] = [1, 0, 0, 1]
-        assert not fb.color_block_uniform(0, 0)
+        assert not fb.color_blocks_uniform(*BLOCK_00)[0]
 
     def test_color_image_cropped_and_clipped(self):
         fb = Framebuffer(100, 50)

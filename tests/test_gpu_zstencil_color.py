@@ -175,7 +175,7 @@ class TestZSCacheTraffic:
         stage, fb, _ = make_stage()
         qb = quad_batch([0], [0], [[0.5] * 4])
         result = stage.process(qb, RenderState(), qb.cover)
-        stage.update_hz(qb, result.wrote)
+        stage.update_hz_quads(qb.qx, qb.qy, result.wrote)
         # Block still has z=1 pixels outside the quad.
         assert fb.hz_max[0, 0] == 1.0
         # Fill the whole block: HZ must drop to the new max.
@@ -183,7 +183,7 @@ class TestZSCacheTraffic:
             for qy in range(4):
                 q = quad_batch([qx], [qy], [[0.5] * 4])
                 r = stage.process(q, RenderState(), q.cover)
-                stage.update_hz(q, r.wrote)
+                stage.update_hz_quads(q.qx, q.qy, r.wrote)
         assert fb.hz_max[0, 0] == pytest.approx(0.5)
 
 

@@ -148,6 +148,31 @@ class TestQuotaRaces:
         finally:
             holder.release()
 
+    def test_eviction_spares_a_save_in_flight(self, tmp_path, monkeypatch):
+        """Another writer's quota pass runs between mkstemp and the rename.
+
+        The in-flight temp file sits in ``artifacts/`` under the key's
+        name; it is neither evicted nor counted, and the save completes.
+        """
+        store = ArtifactStore(tmp_path)
+        old = _save(store, 1, mtime=1_000)
+        job = JobSpec("api", WORKLOAD, 2, seed=2)
+        replace = os.replace
+        seen: list[tuple] = []
+
+        def replace_after_eviction(src, dst):
+            if str(src).endswith(".tmp") and not seen:
+                in_flight = pathlib.Path(src)
+                assert in_flight.parent == store.artifact_dir
+                seen.append((store.enforce_quota(0), in_flight.exists()))
+            replace(src, dst)
+
+        monkeypatch.setattr("repro.farm.store.os.replace", replace_after_eviction)
+        store.save(job, "fresh" * 64)
+        assert seen == [([old.key()], True)]
+        assert store.load(job) == "fresh" * 64
+        assert not list(store.artifact_dir.glob("*.tmp"))
+
     def test_concurrent_processes_never_evict_pinned(self, tmp_path):
         """Several processes churning one store: the pinned key survives."""
         store = ArtifactStore(tmp_path)

@@ -151,8 +151,8 @@ def test_facade_exports():
 
 def test_runner_simulation_shim_removed():
     """The 1.x ``Runner.simulation`` deprecation shim is gone since 2.0;
-    3.0 removed the fused path's two ``GpuConfig`` fields and 4.0 the
-    ``characterize`` entry points."""
+    3.0 removed the fused path's two ``GpuConfig`` fields, 4.0 the
+    ``characterize`` entry points and 5.0 ``TextureResource(name, mips)``."""
     from repro.experiments.runner import ExperimentConfig, Runner
 
     runner = Runner(ExperimentConfig(sim_frames=1))
@@ -161,4 +161,4 @@ def test_runner_simulation_shim_removed():
     assert not hasattr(repro, "characterize")
     fields = {field.name for field in dataclasses.fields(repro.GpuConfig)}
     assert not fields & {"fused", "threads"}
-    assert repro.__version__.split(".")[0] == "4"
+    assert repro.__version__.split(".")[0] == "5"
