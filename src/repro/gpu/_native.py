@@ -120,60 +120,84 @@ void lru_run(const i64 *stream, i64 n, int write_mode, const uint8_t *flags,
     counts[2] = ne;
 }
 
-/* Stamp-based LRU mirror for the texture walk below.  The reference
+/* Linked-list LRU mirror for the texture walk below.  The reference
    model keeps each set's lines MRU-first and memmoves on every touch —
    O(ways) per access, which dominates once a frame issues tens of
-   millions of texture probes.  The mirror stores a monotonically
-   increasing recency stamp per way instead and finds lines through an
-   open-addressing hash (multiplicative hashing, linear probing,
-   backshift deletion), making a hit O(1).  Stamps are a total order over
-   touches, so "evict the minimum stamp in the set" is exactly the
-   reference's evict-the-tail, and sorting a set's ways by descending
-   stamp rebuilds the reference's MRU-first export layout bit for bit.
-   Texture streams never write, so the dirty array is never touched and
-   (being all-clear for a read-only cache) needs no reordering. */
+   millions of texture probes.  The mirror keeps every line in a fixed way
+   slot, finds it through an open-addressing hash (multiplicative hashing,
+   linear probing, backshift deletion) and threads each set's slots on an
+   intrusive doubly linked recency list, head = MRU, tail = LRU.  A hit
+   unlinks its slot and pushes it to the head; a miss in a full set reuses
+   the tail's slot.  Both are O(1), and the list order is the reference's
+   MRU-first order at every step, so walking a list from its head exports
+   the reference layout bit for bit.  Texture streams never write, so the
+   dirty array is never touched and (being all-clear for a read-only
+   cache) needs no reordering. */
 enum { TC_SLOTS = 4096, TC_HASH = 16384 };
 
 typedef struct {
     i64 *wline;        /* line per way slot, nsets*ways */
-    uint64_t *wstamp;  /* recency stamp per way slot */
+    int32_t *prv;      /* recency list links per way slot; -1 ends a list */
+    int32_t *nxt;
+    int32_t *head;     /* per set: MRU slot, -1 when the set is empty */
+    int32_t *tail;     /* per set: LRU slot, -1 when the set is empty */
     i64 *sizes;        /* per-set fill counts (the caller's array, in place) */
     i64 *hkey;         /* open-addressing hash: line -> way slot */
     int32_t *hval;
     i64 hmask;
     i64 nsets, ways;
-    uint64_t ctr;
-} stampcache;
+} lrulist;
 
-static inline i64 tc_hash(const stampcache *C, i64 line)
+static inline i64 tc_hash(const lrulist *C, i64 line)
 {
     return (i64)(((uint64_t)line * 0x9E3779B97F4A7C15ull) >> 32) & C->hmask;
 }
 
-static void tc_init(stampcache *C, i64 *wline, uint64_t *wstamp,
+static inline void tc_unlink(lrulist *C, i64 s, int32_t slot)
+{
+    int32_t p = C->prv[slot], q = C->nxt[slot];
+    if (p >= 0) C->nxt[p] = q; else C->head[s] = q;
+    if (q >= 0) C->prv[q] = p; else C->tail[s] = p;
+}
+
+static inline void tc_push(lrulist *C, i64 s, int32_t slot)
+{
+    int32_t h = C->head[s];
+    C->prv[slot] = -1;
+    C->nxt[slot] = h;
+    if (h >= 0) C->prv[h] = slot; else C->tail[s] = slot;
+    C->head[s] = slot;
+}
+
+/* Import MRU-first sets: slot base + i holds the set's i-th most recent
+   line, so the list links the filled slots in slot order. */
+static void tc_init(lrulist *C, i64 *wline, int32_t *prv, int32_t *nxt,
+                    int32_t *head, int32_t *tail,
                     i64 *hkey, int32_t *hval, i64 hcap,
                     const i64 *lines, i64 *sizes, i64 nsets, i64 ways)
 {
     C->wline = wline;
-    C->wstamp = wstamp;
+    C->prv = prv;
+    C->nxt = nxt;
+    C->head = head;
+    C->tail = tail;
     C->sizes = sizes;
     C->hkey = hkey;
     C->hval = hval;
     C->hmask = hcap - 1;
     C->nsets = nsets;
     C->ways = ways;
-    /* Initial stamps are 1..size per set (MRU-first input, index 0 is the
-       newest); starting the counter at ways keeps every future touch
-       strictly newer than every imported line. */
-    C->ctr = (uint64_t)ways;
     for (i64 i = 0; i < hcap; i++) hkey[i] = -1;
     for (i64 s = 0; s < nsets; s++) {
-        i64 size = sizes[s];
+        i64 base = s * ways, size = sizes[s];
+        head[s] = size > 0 ? (int32_t)base : -1;
+        tail[s] = size > 0 ? (int32_t)(base + size - 1) : -1;
         for (i64 i = 0; i < size; i++) {
-            i64 slot = s * ways + i;
+            i64 slot = base + i;
             i64 line = lines[slot];
             wline[slot] = line;
-            wstamp[slot] = (uint64_t)(size - i);
+            prv[slot] = i > 0 ? (int32_t)(slot - 1) : -1;
+            nxt[slot] = i < size - 1 ? (int32_t)(slot + 1) : -1;
             i64 h = tc_hash(C, line);
             while (hkey[h] != -1) h = (h + 1) & C->hmask;
             hkey[h] = line;
@@ -182,7 +206,7 @@ static void tc_init(stampcache *C, i64 *wline, uint64_t *wstamp,
     }
 }
 
-static void tc_hdel(stampcache *C, i64 line)
+static void tc_hdel(lrulist *C, i64 line)
 {
     i64 mask = C->hmask;
     i64 pos = tc_hash(C, line);
@@ -204,60 +228,44 @@ static void tc_hdel(stampcache *C, i64 line)
 /* One read access; returns 1 on hit.  Mirrors lru_touch for a
    never-written stream: dirty state cannot change and evictions never
    write back. */
-static int tc_access(stampcache *C, i64 line)
+static int tc_access(lrulist *C, i64 line)
 {
     i64 mask = C->hmask;
     i64 h = tc_hash(C, line);
     while (C->hkey[h] != -1) {
         if (C->hkey[h] == line) {
-            C->wstamp[C->hval[h]] = ++C->ctr;
+            i64 s = C->nsets > 1 ? line % C->nsets : 0;
+            tc_unlink(C, s, C->hval[h]);
+            tc_push(C, s, C->hval[h]);
             return 1;
         }
         h = (h + 1) & mask;
     }
     i64 s = C->nsets > 1 ? line % C->nsets : 0;
-    i64 base = s * C->ways;
-    i64 slot;
+    int32_t slot;
     if (C->sizes[s] < C->ways) {
-        slot = base + C->sizes[s]++;
+        slot = (int32_t)(s * C->ways + C->sizes[s]++);
     } else {
-        slot = base;
-        uint64_t mn = C->wstamp[base];
-        for (i64 i = 1; i < C->ways; i++)
-            if (C->wstamp[base + i] < mn) {
-                mn = C->wstamp[base + i];
-                slot = base + i;
-            }
+        slot = C->tail[s];
+        tc_unlink(C, s, slot);
         tc_hdel(C, C->wline[slot]);
         h = tc_hash(C, line);           /* the hole may have moved */
         while (C->hkey[h] != -1) h = (h + 1) & mask;
     }
     C->hkey[h] = line;
-    C->hval[h] = (int32_t)slot;
+    C->hval[h] = slot;
     C->wline[slot] = line;
-    C->wstamp[slot] = ++C->ctr;
+    tc_push(C, s, slot);
     return 0;
 }
 
 /* Write the mirror back as the reference's MRU-first per-set layout. */
-static void tc_export(stampcache *C, i64 *lines)
+static void tc_export(const lrulist *C, i64 *lines)
 {
     for (i64 s = 0; s < C->nsets; s++) {
-        i64 base = s * C->ways, size = C->sizes[s];
-        for (i64 i = 0; i < size; i++) {   /* selection sort; ways are small */
-            i64 best = i;
-            for (i64 j = i + 1; j < size; j++)
-                if (C->wstamp[base + j] > C->wstamp[base + best]) best = j;
-            if (best != i) {
-                i64 tl = C->wline[base + i];
-                uint64_t ts = C->wstamp[base + i];
-                C->wline[base + i] = C->wline[base + best];
-                C->wstamp[base + i] = C->wstamp[base + best];
-                C->wline[base + best] = tl;
-                C->wstamp[base + best] = ts;
-            }
-            lines[base + i] = C->wline[base + i];
-        }
+        i64 i = s * C->ways;
+        for (int32_t slot = C->head[s]; slot >= 0; slot = C->nxt[slot])
+            lines[i++] = C->wline[slot];
     }
 }
 
@@ -271,15 +279,20 @@ static void tc_export(stampcache *C, i64 *lines)
    evaluation order (the build must not enable contraction or fast-math),
    so addresses are bit-identical.  Per sample: t in [-0.5, 0.5) along the
    anisotropy axis, position u + t*du; level = min(mip0 + step, max_level);
-   texels wrap at the mip extents; the 4x4 block index is Morton-coded.
+   texels wrap at the mip extents, which are powers of two
+   (TextureResource rejects any other extent), so the wrap is a mask that
+   equals the wrapped modulus in two's complement; the 4x4 block index is
+   Morton-coded.
    The collapse passes Cache.access_runs applies first (duplicate-run
    and period-2 alternation folding) are exact no-ops on hit/miss totals
    and LRU state, so the raw inline walk reproduces their counters bit for
    bit; interleaving each L0 miss's L1 access into the walk is equally
    neutral because the two caches share no state.  Texture streams never
    write, so dirty evictions cannot occur — which is what lets both walks
-   run on the stamp-based LRU mirror above (imported up front, exported
-   back to MRU-first order at the end) instead of the memmove list.
+   run on the linked-list LRU mirror above (imported up front, exported
+   back to MRU-first order at the end) instead of the memmove list.  The
+   mirrors live on the calling thread's stack: per-slot arrays of
+   TC_SLOTS entries, per-set list ends sized by the set count.
    bucket is caller scratch of at least sum(probes) entries: lanes are
    bucketed per probe index up front (ascending lane order within each
    bucket) so the sweep never scans lanes that emit nothing.
@@ -310,7 +323,8 @@ void texcache(const double *u, const double *v,
     (void)l0_dirty;
     (void)l1_dirty;
     i64 wline0[TC_SLOTS], wline1[TC_SLOTS];
-    uint64_t wstamp0[TC_SLOTS], wstamp1[TC_SLOTS];
+    int32_t prv0[TC_SLOTS], nxt0[TC_SLOTS], prv1[TC_SLOTS], nxt1[TC_SLOTS];
+    int32_t head0[l0_nsets], tail0[l0_nsets], head1[l1_nsets], tail1[l1_nsets];
     i64 hkey0[TC_HASH], hkey1[TC_HASH];
     int32_t hval0[TC_HASH], hval1[TC_HASH];
     i64 hcap0 = 64, hcap1 = 64;
@@ -356,10 +370,10 @@ void texcache(const double *u, const double *v,
         bshift = 0;
         while ((i64)1 << bshift != block_bytes) bshift++;
     }
-    stampcache C0, C1;
-    tc_init(&C0, wline0, wstamp0, hkey0, hval0, hcap0,
+    lrulist C0, C1;
+    tc_init(&C0, wline0, prv0, nxt0, head0, tail0, hkey0, hval0, hcap0,
             l0_lines, l0_sizes, l0_nsets, l0_ways);
-    tc_init(&C1, wline1, wstamp1, hkey1, hval1, hcap1,
+    tc_init(&C1, wline1, prv1, nxt1, head1, tail1, hkey1, hval1, hcap1,
             l1_lines, l1_sizes, l1_nsets, l1_ways);
     for (i64 p = 0; p < max_probes; p++) bcount[p] = 0;
     for (i64 i = 0; i < n; i++)
@@ -390,12 +404,8 @@ void texcache(const double *u, const double *v,
                     double inv = hinv[is];
                     double cu = c ? hhp[is] : -hhp[is];
                     i64 w = hw[is], h = hh[is];
-                    i64 tx = (i64)floor((tpu[i] + cu) * inv);
-                    i64 ty = (i64)floor((tpv[i] + cu) * inv);
-                    if ((w & (w - 1)) == 0) { tx &= w - 1; }
-                    else { tx %= w; if (tx < 0) tx += w; }
-                    if ((h & (h - 1)) == 0) { ty &= h - 1; }
-                    else { ty %= h; if (ty < 0) ty += h; }
+                    i64 tx = (i64)floor((tpu[i] + cu) * inv) & (w - 1);
+                    i64 ty = (i64)floor((tpv[i] + cu) * inv) & (h - 1);
                     uint64_t m = part16((uint64_t)(tx >> 2))
                                | (part16((uint64_t)(ty >> 2)) << 1);
                     i64 addr = hoff[is] + (i64)m * block_bytes;
@@ -571,7 +581,11 @@ void blocks_uniform(const double *color, i64 cw, i64 block,
 /* Multi-level bilinear fetch: TextureUnit._bilinear's per-unique-level
    loop in one pass over a flattened mip chain.  flat holds every RGBA
    float32 mip concatenated; offs[l]/hs[l]/ws[l] give mip l's texel offset
-   and extents.  Weights and accumulation follow numpy's evaluation order
+   and extents.  Every extent is a power of two (TextureResource rejects
+   any other), so a texel index wraps with & (w - 1), which equals numpy's
+   % w in two's complement, negative indices included; and u / 2^l rounds
+   exactly as u * 2^-l, so the per-call table inv[l] = 2^-l replaces the
+   division.  Weights and accumulation follow numpy's evaluation order
    and dtype promotion exactly: texels promote to double, products
    associate as (((c*gx)*gy)), the sum left-to-right, and the final store
    narrows to float with round-to-nearest, so colors are bit-identical to
@@ -582,23 +596,22 @@ void bilinear_levels(const float *flat, const i64 *offs,
                      const double *u, const double *v,
                      const i64 *mip0, i64 n, float *out)
 {
+    double inv[nlevels];
+    for (i64 l = 0; l < nlevels; l++) inv[l] = ldexp(1.0, -(int)l);
     for (i64 i = 0; i < n; i++) {
         i64 level = mip0[i];
         if (level < 0) level = 0;
         if (level >= nlevels) level = nlevels - 1;
         const float *mip = flat + offs[level] * 4;
         i64 h = hs[level], w = ws[level];
-        double scale = ldexp(1.0, (int)level);
-        double mu = u[i] / scale - 0.5;
-        double mv = v[i] / scale - 0.5;
+        double mu = u[i] * inv[level] - 0.5;
+        double mv = v[i] * inv[level] - 0.5;
         double x0 = floor(mu), y0 = floor(mv);
         double fx = mu - x0, fy = mv - y0;
         double gx = 1.0 - fx, gy = 1.0 - fy;
         i64 xi = (i64)x0, yi = (i64)y0;
-        i64 x0w = xi % w; if (x0w < 0) x0w += w;
-        i64 x1w = (xi + 1) % w; if (x1w < 0) x1w += w;
-        i64 y0w = yi % h; if (y0w < 0) y0w += h;
-        i64 y1w = (yi + 1) % h; if (y1w < 0) y1w += h;
+        i64 x0w = xi & (w - 1), x1w = (xi + 1) & (w - 1);
+        i64 y0w = yi & (h - 1), y1w = (yi + 1) & (h - 1);
         const float *p00 = mip + (y0w * w + x0w) * 4;
         const float *p10 = mip + (y0w * w + x1w) * 4;
         const float *p01 = mip + (y1w * w + x0w) * 4;
@@ -628,11 +641,11 @@ void bilinear_levels(const float *flat, const i64 *offs,
    must still see the pre-group state), then each one probes block
    uniformity from the settled color plane, adds half or full line bytes,
    and sets the block state, in eviction order.  escratch is caller
-   scratch of at least nquads entries.  xs/ys lane 0 of a quad is exactly
-   (2*qx, 2*qy), which the block coordinates derive from.
+   scratch of at least one entry per quad.  xs/ys lane 0 of a quad is
+   exactly (2*qx, 2*qy), which the block coordinates derive from.
    counts: accesses, hits, misses, read bytes, write bytes. */
 void colorpass(const i64 *xs, const i64 *ys, const double *colors,
-               const uint8_t *live, i64 nquads,
+               const uint8_t *live,
                const i64 *starts, const i64 *ends, i64 ngroups,
                i64 blend_mode,
                double *fbcolor, i64 cw,
@@ -927,7 +940,7 @@ def _configure(lib: ctypes.CDLL) -> None:
     ]
     lib.colorpass.restype = None
     lib.colorpass.argtypes = [
-        _I64P, _I64P, _F64P, _U8P, ctypes.c_int64,
+        _I64P, _I64P, _F64P, _U8P,
         _I64P, _I64P, ctypes.c_int64,
         ctypes.c_int64,
         _F64P, ctypes.c_int64,
@@ -1038,8 +1051,8 @@ def texcache(
 
     Returns ``(emitted, l0_hits, l0_misses, l1_hits, l1_misses)`` and
     mutates both cache state triples, or ``None`` (state untouched) when
-    ``max_probes`` exceeds the kernel's bucket capacity.  ``bucket`` is
-    caller scratch of at least ``probes.sum()`` int64 entries.
+    ``max_probes`` exceeds 64 or a cache has more than 4096 way slots.
+    ``bucket`` is caller scratch of at least ``probes.sum()`` int64 entries.
     """
     counts = np.zeros(5, dtype=np.int64)
     _lib.texcache(
@@ -1173,10 +1186,9 @@ def colorpass(
     place; returns ``(accesses, hits, misses, read_bytes, write_bytes)``.
     ``escratch`` is caller scratch of at least ``len(xs) // 4`` entries.
     """
-    nquads = xs.shape[0] // 4
     counts = np.zeros(5, dtype=np.int64)
     _lib.colorpass(
-        xs, ys, colors, live, nquads,
+        xs, ys, colors, live,
         starts, ends, starts.shape[0],
         blend_mode,
         fbcolor, fbcolor.shape[1],

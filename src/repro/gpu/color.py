@@ -146,36 +146,6 @@ class ColorStage:
         fb = self.fb
         config = self.config
         line_bytes = config.color_cache.line_bytes
-        if qx.shape[0] <= 32:
-            # Scalar path for the short per-triangle groups that dominate
-            # call counts: the same access sequence, byte totals and state
-            # updates as the batched path below, without the numpy
-            # fixed costs (which exceed the loop at this size).
-            cache = self.cache
-            state = fb.color_block_state
-            block = fb.block
-            blocks_x = fb.blocks_x
-            read_bytes = 0
-            evict_lines: list[int] = []
-            for x, y in zip(qx.tolist(), qy.tolist()):
-                bx_i = x * 2 // block
-                by_i = y * 2 // block
-                hit, evicted = cache.access_line(by_i * blocks_x + bx_i, True)
-                if not hit:
-                    st = state[by_i, bx_i]
-                    nbytes = line_bytes
-                    if config.color_compression and st == BlockState.COMPRESSED:
-                        nbytes = line_bytes // 2
-                    if config.color_fast_clear and st == BlockState.CLEARED:
-                        nbytes = 0
-                    read_bytes += nbytes
-                if evicted is not None:
-                    evict_lines.append(evicted // line_bytes)
-            if read_bytes:
-                self.memory.read(MemClient.COLOR, read_bytes)
-            if evict_lines:
-                self._write_back_lines(np.asarray(evict_lines, dtype=np.int64))
-            return
         bx, by = fb.quad_block_coords(qx, qy)
         lines = fb.block_line_index(bx, by)
         result = self.cache.access_runs(lines, True)

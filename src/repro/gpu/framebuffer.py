@@ -168,15 +168,13 @@ class Framebuffer:
         """Refresh the per-block stencil band after stencil writes."""
         if len(bx) == 0:
             return
-        b = self.block
         packed = np.unique(
             np.asarray(by, dtype=np.int64) * self.blocks_x + np.asarray(bx)
         )
-        for p in packed.tolist():
-            y, x = divmod(p, self.blocks_x)
-            tile = self.stencil[y * b : (y + 1) * b, x * b : (x + 1) * b]
-            self.hz_stencil_min[y, x] = tile.min()
-            self.hz_stencil_max[y, x] = tile.max()
+        y, x = np.divmod(packed, self.blocks_x)
+        tiles = self._tiles(self.stencil, x, y)
+        self.hz_stencil_min[y, x] = tiles.min(axis=(1, 2))
+        self.hz_stencil_max[y, x] = tiles.max(axis=(1, 2))
 
     # -- compression checks ---------------------------------------------------
     @property
@@ -187,10 +185,13 @@ class Framebuffer:
             self._block_grid_cache = grid
         return grid[0], grid[1]
 
-    def _z_tiles(self, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-        """Gather 8x8 z tiles for blocks (bx, by) as an (n, b, b) array."""
+    def _tiles(
+        self, plane: np.ndarray, bx: np.ndarray, by: np.ndarray
+    ) -> np.ndarray:
+        """Gather 8x8 tiles of ``plane`` (z or stencil) for blocks (bx, by)
+        as an (n, b, b) array."""
         b = self.block
-        view = self.z.reshape(self.blocks_y, b, self.blocks_x, b)
+        view = plane.reshape(self.blocks_y, b, self.blocks_x, b)
         return view[by, :, bx, :]
 
     def z_blocks_compressible(self, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -203,7 +204,7 @@ class Framebuffer:
         are block-coordinate arrays; the result is one flag per block.
         """
         b = self.block
-        tiles = self._z_tiles(bx, by)
+        tiles = self._tiles(self.z, bx, by)
         z00 = tiles[:, 0, 0]
         dzdx = (tiles[:, 0, -1] - z00) / (b - 1)
         dzdy = (tiles[:, -1, 0] - z00) / (b - 1)

@@ -442,21 +442,17 @@ class TextureUnit:
             bv = pv_all[gsel]
             # pitch is an exact power of two, so dividing by it and
             # multiplying by its reciprocal round identically; likewise the
-            # mip extents are powers of two, letting the wrap use a bit mask
-            # (correct for negative pre-wrap texels in two's complement) and
-            # the block split a shift.
+            # mip extents are powers of two (TextureResource rejects any
+            # other), letting the wrap use a bit mask (correct for negative
+            # pre-wrap texels in two's complement) and the block split a
+            # shift.
             inv_pitch = 1.0 / pitch
-            pow2_wrap = not (((w & (w - 1)) | (h & (h - 1))).any())
             corners = []
             for corner in (-0.5, 0.5):
                 tx = np.floor((bu + corner * pitch) * inv_pitch).astype(np.int64)
                 ty = np.floor((bv + corner * pitch) * inv_pitch).astype(np.int64)
-                if pow2_wrap:
-                    tx &= w - 1
-                    ty &= h - 1
-                else:
-                    tx %= w
-                    ty %= h
+                tx &= w - 1
+                ty &= h - 1
                 block = morton2d(
                     (tx >> 2).astype(np.uint64), (ty >> 2).astype(np.uint64)
                 ).astype(np.int64)
@@ -507,8 +503,10 @@ class TextureUnit:
     ) -> np.ndarray:
         """Bilinear color fetch at the floor mip (color approximation)."""
         if _native.available() and u.dtype == np.float64 and v.dtype == np.float64:
-            # One fused pass over all lanes regardless of mip level;
-            # per-lane arithmetic is the numpy loop below verbatim.
+            # One fused pass over all lanes regardless of mip level; its
+            # colors equal the numpy loop's below bit for bit (see the
+            # kernel's comment for why its mask wraps and reciprocal
+            # scales round the same as % and /).
             fused = np.empty((u.shape[0], 4), dtype=np.float32)
             _native.bilinear_levels(
                 resource.texels,

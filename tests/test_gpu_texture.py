@@ -1,9 +1,13 @@
 """Tests for texture resources, filtering, and the cache hierarchy."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.gpu.config import GpuConfig
+from repro.gpu import _native
+from repro.gpu.config import CacheConfig, GpuConfig
 from repro.gpu.memory import MemoryController
 from repro.gpu.stats import MemClient
 from repro.gpu.texture import (
@@ -181,3 +185,136 @@ class TestCaches:
         unit = TextureUnit(GpuConfig(), mem)
         with pytest.raises(KeyError):
             unit.bind(0, "nope")
+
+
+def _exported(cache):
+    """A cache's ``kernel_state()`` export: MRU-first lines, dirty, sizes."""
+    with cache.kernel_state() as (lines, dirty, sizes):
+        return lines.copy(), dirty.copy(), sizes.copy()
+
+
+@pytest.mark.skipif(not _native.available(), reason="no native kernels")
+class TestNativeMatchesNumpy:
+    """``texcache`` and ``bilinear_levels`` against the numpy path.
+
+    Two units see the same calls; one runs with the compiled kernels off.
+    After every call the colors, counters, bytes and each cache's recency
+    order must match bit for bit — across wrapping, negative, minified and
+    anisotropic footprints on square and one-texel-wide textures, and on
+    small thrashing cache geometries where eviction order decides misses.
+    """
+
+    EXTENTS = [(1, 1), (16, 16), (1, 128), (64, 1), (8, 256), (256, 4),
+               (32, 64), (256, 256)]
+    FORMATS = [TextureFormat.DXT1, TextureFormat.DXT5, TextureFormat.RGBA8]
+    FILTERS = [TextureFilter.BILINEAR, TextureFilter.TRILINEAR,
+               TextureFilter.ANISOTROPIC]
+
+    @staticmethod
+    def _geometry(rng):
+        l0_sets, l0_ways = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        l1_sets = int(rng.choice([1, 3, 5, 6]))
+        l1_ways = int(rng.integers(1, 5))
+        return (
+            CacheConfig(l0_sets * l0_ways * 64, 64, l0_ways, "texture_l0"),
+            CacheConfig(l1_sets * l1_ways * 64, 64, l1_ways, "texture_l1"),
+        )
+
+    def _units(self, rng, l0, l1):
+        config = replace(GpuConfig(), texture_l0=l0, texture_l1=l1)
+        units = [TextureUnit(config, MemoryController()) for _ in range(2)]
+        for k, (h, w) in enumerate(self.EXTENTS):
+            image = rng.random((h, w, 4), dtype=np.float32)
+            fmt = self.FORMATS[k % len(self.FORMATS)]
+            for unit in units:
+                unit.register(TextureResource.from_image(f"t{k}", image, fmt))
+        return units
+
+    @staticmethod
+    def _coords(rng, quads):
+        """Quads anywhere in [-3, 3)^2 (several wraps, negative too), with
+        derivatives from 1e-4 to about 3 texture widths per pixel and axis,
+        so every LOD and anisotropy ratio occurs."""
+        base = rng.uniform(-3.0, 3.0, size=(quads, 2))
+        dx = rng.normal(size=(quads, 2)) * 10.0 ** rng.uniform(-4, 0.5, (quads, 1))
+        dy = rng.normal(size=(quads, 2)) * 10.0 ** rng.uniform(-4, 0.5, (quads, 1))
+        lanes = np.stack([base, base + dx, base + dy, base + dx + dy], axis=1)
+        coords = np.zeros((quads * 4, 4))
+        coords[:, :2] = lanes.reshape(-1, 2)
+        coords[:, 3] = 1.0
+        return coords
+
+    @staticmethod
+    def _state(unit):
+        return (
+            unit.stats.requests,
+            unit.stats.bilinear_samples,
+            unit.l0.hits, unit.l0.misses, unit.l0.accesses,
+            unit.l1.hits, unit.l1.misses, unit.l1.accesses,
+            unit.memory.reads[MemClient.TEXTURE],
+        )
+
+    def _drive(self, seed, l0, l1, calls):
+        rng = np.random.default_rng(seed)
+        native, numpy_path = self._units(rng, l0, l1)
+        for _ in range(calls):
+            name = f"t{int(rng.integers(len(self.EXTENTS)))}"
+            filt = self.FILTERS[int(rng.integers(3))]
+            aniso = int(rng.integers(1, 17))
+            quads = int(rng.integers(1, 65))
+            coords = self._coords(rng, quads)
+            coverage = rng.random(quads * 4) < rng.uniform(0.0, 1.0)
+            outputs = []
+            for unit, kernels in ((native, True), (numpy_path, False)):
+                unit.bind(0, name)
+                unit.set_filter(filt, aniso)
+                unit.set_coverage(coverage)
+                if kernels:
+                    outputs.append(unit(0, coords))
+                else:
+                    with mock.patch.object(_native, "available", return_value=False):
+                        outputs.append(unit(0, coords))
+            assert outputs[0].tobytes() == outputs[1].tobytes()
+            assert self._state(native) == self._state(numpy_path)
+            for a, b in ((native.l0, numpy_path.l0), (native.l1, numpy_path.l1)):
+                for x, y in zip(_exported(a), _exported(b)):
+                    assert np.array_equal(x, y)
+        return native
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_draws_on_thrashing_geometries(self, seed):
+        l0, l1 = self._geometry(np.random.default_rng(1000 + seed))
+        native = self._drive(seed, l0, l1, calls=4)
+        assert native.l0.misses > 0 and native.l1.accesses > 0
+
+    def test_default_geometry(self):
+        config = GpuConfig()
+        self._drive(99, config.texture_l0, config.texture_l1, calls=6)
+
+    @pytest.mark.parametrize("extent", [(64, 64), (8, 256), (256, 4)])
+    def test_bilinear_on_every_chain_prefix(self, extent):
+        """On a full chain the last level is 1x1, where the four taps are one
+        texel and no level scale can change a color; on a chain prefix the
+        last level's scale shows, so every reciprocal is checked."""
+        rng = np.random.default_rng(5)
+        image = rng.random((*extent, 4), dtype=np.float32)
+        tex = TextureResource.from_image("t", image)
+        unit = TextureUnit(GpuConfig(), MemoryController())
+        offs, hs, ws = tex.level_layout
+        u = rng.uniform(-3.0, 3.0, 256) * tex.width
+        v = rng.uniform(-3.0, 3.0, 256) * tex.height
+        for k in range(1, tex.levels + 1):
+            mip0 = rng.integers(0, k, 256)
+            fused = np.empty((256, 4), dtype=np.float32)
+            _native.bilinear_levels(
+                tex.texels, offs[:k], hs[:k], ws[:k], u, v, mip0, fused
+            )
+            with mock.patch.object(_native, "available", return_value=False):
+                expected = unit._bilinear(tex, u, v, mip0)
+            assert fused.tobytes() == expected.tobytes()
+
+    def test_geometry_over_kernel_bound_falls_back(self):
+        """An L1 of 4100 slots exceeds the kernel's 4096: it refuses without
+        touching state and the numpy walk runs instead, with equal results."""
+        self._drive(7, CacheConfig(4 * 64, 64, 4, "texture_l0"),
+                    CacheConfig(1025 * 4 * 64, 64, 4, "texture_l1"), calls=3)

@@ -6,6 +6,7 @@ import pytest
 from dataclasses import replace
 
 from repro.gpu.framebuffer import Framebuffer
+from repro.gpu.zstencil import _apply_stencil_op
 from repro.workloads import build_workload
 
 
@@ -77,6 +78,34 @@ class TestStencilHz:
             np.array([0]), np.array([0]), ref=0, func="always"
         )
         assert not culled.any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_band_matches_per_block_loop(self, seed):
+        """The gathered refresh equals a min/max per touched block, after
+        random writes of every stencil op (incr/decr wrap through 0/255)
+        on a surface whose last block row and column are padded."""
+        rng = np.random.default_rng(seed)
+        fb = Framebuffer(70, 45)
+        lo, hi = fb.hz_stencil_min.copy(), fb.hz_stencil_max.copy()
+        b = fb.block
+        for _ in range(40):
+            n = int(rng.integers(1, 200))
+            ys = rng.integers(0, fb.height, n)
+            xs = rng.integers(0, fb.width, n)
+            op = str(rng.choice(["zero", "replace", "incr_wrap", "decr_wrap"]))
+            fb.stencil[ys, xs] = _apply_stencil_op(
+                op, fb.stencil[ys, xs], int(rng.integers(0, 256))
+            )
+            bx, by = xs // b, ys // b
+            fb.note_stencil_write(bx, by)
+            for x, y in zip(bx.tolist(), by.tolist()):
+                tile = fb.stencil[y * b : (y + 1) * b, x * b : (x + 1) * b]
+                lo[y, x] = tile.min()
+                hi[y, x] = tile.max()
+            assert np.array_equal(fb.hz_stencil_min, lo)
+            assert np.array_equal(fb.hz_stencil_max, hi)
+        assert fb.hz_stencil_min.dtype == fb.hz_stencil_max.dtype == np.int16
+        assert hi.max() == 255 and lo.min() == 0
 
 
 class TestEndToEnd:
