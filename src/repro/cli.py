@@ -27,8 +27,9 @@ measurement runs across worker processes (default: all cores), results are
 cached content-addressed under ``.repro-cache/`` (``--cache-dir`` or
 ``REPRO_CACHE_DIR`` override, ``--no-cache`` to disable), and interrupted
 simulations resume from their last checkpointed frame.  Every
-farm-backed command, and ``serve``, also takes ``--shard-frames`` (the
-farm's frame-sharding policy).
+farm-backed command also takes ``--shard-frames`` (the farm's
+frame-sharding policy); ``serve`` does not, as its lanes run one unit
+per job.
 """
 
 from __future__ import annotations
@@ -475,21 +476,19 @@ def _cmd_observe(args) -> int:
     """Traced run → Chrome-trace/JSONL export, top spans, metrics dump."""
     from repro import observe
     from repro.farm import Farm, JobSpec
-    from repro.farm.telemetry import FarmTelemetry
     from repro.gpu.profiler import records_from_timeline
 
     observe.metrics.reset()
     tracer = observe.enable(track="main")
     try:
-        # The farm's phase accounting goes straight into the process-wide
-        # registry, so the summary line and the metrics dump share counters.
+        # The whole run traces, so the farm mirrors every phase into the
+        # process registry: the summary line and the metrics dump agree.
         farm = Farm(
             store=_make_store(args),
             jobs=_resolve_jobs(args),
             use_cache=not args.no_cache,
             strict=not args.keep_going,
             shard_frames=args.shard_frames,
-            telemetry=FarmTelemetry(registry=observe.registry()),
         )
         with farm:
             farm.run_one(JobSpec(args.kind, args.workload, args.frames))
@@ -619,7 +618,6 @@ def _cmd_serve(args) -> int:
         ),
         cache_dir=args.cache_dir,
         verbose_events=args.verbose_events,
-        shard_frames=args.shard_frames,
         default_deadline_s=args.default_deadline,
         journal=not args.no_journal,
         lane_hang_s=args.lane_hang,
@@ -1046,12 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         help="seconds a connection may take to deliver a request head (408)",
-    )
-    p.add_argument(
-        "--shard-frames",
-        type=int,
-        default=None,
-        help="lane farms' frame-sharding policy (default automatic, 0 off)",
     )
     p.set_defaults(func=_cmd_serve)
 

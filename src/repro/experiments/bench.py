@@ -8,7 +8,8 @@ measurements:
   reference path and with the draw-level QuadStream path.  Both produce
   bit-identical statistics (``quadstream.identical`` records the check),
   so the triangles/s and fragments/s ratios are a pure execution-strategy
-  speedup.
+  speedup.  The QuadStream runs come in untraced/traced pairs on one
+  build, which also give the observer overhead and the stage profile.
 * **farm** — the three simulated engines' reduced-profile jobs run through
   the execution farm serially (``jobs=1``) and at each requested parallel
   width, each measurement against its own fresh artifact store, so the
@@ -43,15 +44,25 @@ def _run_pipeline(
     vectorized: bool,
     frames: int,
     repeats: int = 1,
-) -> tuple[dict, dict]:
-    """Time one path; with ``repeats`` > 1, keep the fastest run.
+) -> tuple[dict, dict, dict | None]:
+    """Time one path; with ``repeats`` > 1, keep the fastest untraced run.
 
     Minimum-of-N is the standard noise-robust estimator for a deterministic
     workload: every run does identical work, so the minimum is the run with
     the least scheduler/cache interference.
 
-    Returns ``(measurement, identity)`` where ``identity`` is the
-    path-independent result fingerprint (per-frame counters, cache
+    The QuadStream path also measures observer overhead on the same
+    build: every repeat (at least three) times an untraced run and a
+    traced run back to back (``env=False`` keeps the tracing flag out of
+    the environment so nothing beyond this process starts tracing), and
+    the overhead is the ratio of the two *medians*, the like-with-like
+    comparison the ``--max-observer-overhead`` gate needs.  The reported
+    ``overhead_pct`` is clamped at zero (an instrument cannot speed the
+    pipeline up; a negative ratio is noise), with the raw value kept
+    alongside.
+
+    Returns ``(measurement, identity, observer)`` where ``identity`` is
+    the path-independent result fingerprint (per-frame counters, cache
     hit/miss/access triples, framebuffer digest) used to assert the
     execution strategies are bit-identical before their timings are
     compared.  Memory *byte* totals are deliberately absent: QuadStream
@@ -64,15 +75,29 @@ def _run_pipeline(
 
     workload = build_workload(name, sim=False)
     config = dataclasses.replace(GpuConfig.r520(), vectorized=vectorized)
-    seconds = float("inf")
-    result = None
-    sim = None
-    for _ in range(max(1, repeats)):
+    untraced: list[float] = []
+    traced: list[float] = []
+    profiles: list[dict] = []
+    for _ in range(max(3 if vectorized else 1, repeats)):
         sim = workload.simulator(config)
         trace = workload.trace(frames=frames)
         start = time.perf_counter()
         result = sim.run_trace(trace, max_frames=frames)
-        seconds = min(seconds, time.perf_counter() - start)
+        untraced.append(time.perf_counter() - start)
+        if not vectorized:
+            continue
+        traced_sim = workload.simulator(config)
+        trace = workload.trace(frames=frames)
+        tracer = obs_spans.enable(track="bench", env=False)
+        try:
+            start = time.perf_counter()
+            traced_sim.run_trace(trace, max_frames=frames)
+            traced.append(time.perf_counter() - start)
+        finally:
+            obs_spans.disable()
+        ranked = top_spans(tracer.timeline(), n=None)
+        profiles.append({agg["name"]: agg for agg in ranked})
+    seconds = min(untraced)
     stats = result.stats
     digest = hashlib.sha256()
     digest.update(sim.fb.color.tobytes())
@@ -95,7 +120,21 @@ def _run_pipeline(
         "triangles_per_s": round(stats.triangles_traversed / seconds, 1),
         "fragments_per_s": round(stats.fragments_rasterized / seconds, 1),
     }
-    return measurement, identity
+    observer = None
+    if vectorized:
+        median_traced = _median(traced)
+        median_untraced = _median(untraced)
+        raw = 100.0 * (median_traced / median_untraced - 1.0)
+        observer = {
+            "seconds": round(median_traced, 3),
+            "untraced_seconds": round(median_untraced, 3),
+            "pairs": len(traced),
+            "spans": len(tracer.spans),
+            "overhead_pct": round(max(0.0, raw), 1),
+            "overhead_pct_raw": round(raw, 1),
+            "stages": _stage_self_times(profiles),
+        }
+    return measurement, identity, observer
 
 
 def _median(values: list[float]) -> float:
@@ -106,78 +145,28 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def _stage_self_times(tracer) -> dict:
-    """Per-span self-time breakdown of one traced run, heaviest first.
+def _stage_self_times(profiles: list[dict]) -> dict:
+    """Per-span self-time breakdown over the traced runs, heaviest first.
 
-    Self time is wall duration minus the direct children's (as
-    :func:`repro.observe.export.top_spans` aggregates it), so nested
-    spans (run → frame → draw → stage) never double count and the entries
-    sum to the root's wall time — the profile the ``stages`` block of
-    ``BENCH_pipeline.json`` publishes, with each name's share of the total.
+    Each profile maps span names to one traced run's :func:`top_spans`
+    aggregates.  Self time is wall duration minus the direct children's,
+    so nested spans (run → frame → draw → stage) never double count.  A
+    name's ``self_seconds`` is its median over the runs (its ``count`` is
+    the same in every run) and ``share_pct`` its share of the medians'
+    sum — the ``stages`` block of ``BENCH_pipeline.json``.
     """
-    ranked = sorted(
-        top_spans(tracer.timeline(), n=None), key=lambda agg: -agg["self_ns"]
-    )
-    total_ns = sum(agg["self_ns"] for agg in ranked)
-    return {
-        agg["name"]: {
-            "count": agg["count"],
-            "self_seconds": round(agg["self_ns"] / 1e9, 4),
-            "share_pct": round(100.0 * agg["self_ns"] / total_ns, 1)
-            if total_ns else 0.0,
-        }
-        for agg in ranked
+    medians = {
+        name: _median([profile[name]["self_ns"] for profile in profiles])
+        for name in profiles[0]
     }
-
-
-def _run_observed(name: str, frames: int, repeats: int = 1) -> dict:
-    """Measure observer overhead: interleaved traced/untraced run pairs.
-
-    The old protocol compared a min-of-N traced run against a min-of-N
-    untraced run timed *earlier in the process* — on a noisy host the
-    later measurement often won on warmth alone and the "overhead" came
-    out negative.  Here every repeat times an untraced run and a traced
-    run back to back (``env=False`` keeps the tracing flag out of the
-    environment so nothing beyond this process starts tracing), at least
-    three pairs, and the overhead is the ratio of the two *medians* — the
-    like-with-like comparison the ``--max-observer-overhead`` gate needs.
-    The reported ``overhead_pct`` is clamped at zero (an instrument cannot
-    speed the pipeline up; a negative ratio is noise), with the raw value
-    kept alongside for trend reading.
-    """
-    workload = build_workload(name, sim=False)
-    config = dataclasses.replace(GpuConfig.r520(), vectorized=True)
-    untraced: list[float] = []
-    traced: list[float] = []
-    spans = 0
-    for _ in range(max(3, repeats)):
-        sim = workload.simulator(config)
-        trace = workload.trace(frames=frames)
-        start = time.perf_counter()
-        sim.run_trace(trace, max_frames=frames)
-        untraced.append(time.perf_counter() - start)
-
-        sim = workload.simulator(config)
-        trace = workload.trace(frames=frames)
-        tracer = obs_spans.enable(track="bench", env=False)
-        try:
-            start = time.perf_counter()
-            sim.run_trace(trace, max_frames=frames)
-            traced.append(time.perf_counter() - start)
-        finally:
-            obs_spans.disable()
-        spans = len(tracer.spans)
-    median_traced = _median(traced)
-    median_untraced = _median(untraced)
-    raw = 100.0 * (median_traced / median_untraced - 1.0)
+    total_ns = sum(medians.values())
     return {
-        "seconds": round(median_traced, 3),
-        "untraced_seconds": round(median_untraced, 3),
-        "pairs": len(traced),
-        "spans": spans,
-        "overhead_pct": round(max(0.0, raw), 1),
-        "overhead_pct_raw": round(raw, 1),
-        "stages": _stage_self_times(tracer),
+        name: {
+            "count": profiles[0][name]["count"],
+            "self_seconds": round(ns / 1e9, 4),
+            "share_pct": round(100.0 * ns / total_ns, 1) if total_ns else 0.0,
+        }
+        for name, ns in sorted(medians.items(), key=lambda item: -item[1])
     }
 
 
@@ -235,10 +224,10 @@ def bench_pipeline(
     """Run the measurements and return the ``BENCH_pipeline.json`` document."""
     if isinstance(jobs, int):
         jobs = (jobs,)
-    per_triangle, reference_identity = _run_pipeline(
+    per_triangle, reference_identity, _ = _run_pipeline(
         workload, vectorized=False, frames=frames, repeats=repeats
     )
-    quadstream, stream_identity = _run_pipeline(
+    quadstream, stream_identity, observer = _run_pipeline(
         workload, vectorized=True, frames=frames, repeats=repeats
     )
     quadstream["identical"] = stream_identity == reference_identity
@@ -258,7 +247,6 @@ def bench_pipeline(
             ),
         },
     }
-    observer = _run_observed(workload, frames=frames, repeats=repeats)
     doc["stages"] = observer.pop("stages")
     doc["observer"] = observer
     if include_farm:

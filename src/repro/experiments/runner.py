@@ -229,12 +229,7 @@ def default_runner() -> Runner:
     config = ExperimentConfig()
     if _DEFAULT is None or _DEFAULT.config != config:
         jobs = _env_int("REPRO_FARM_JOBS", 0) or (os.cpu_count() or 1)
-        shards = os.environ.get("REPRO_FARM_SHARDS")
-        _DEFAULT = Runner(
-            config,
-            jobs=jobs,
-            shard_frames=int(shards) if shards else None,
-        )
+        _DEFAULT = Runner(config, jobs=jobs)
     return _DEFAULT
 
 

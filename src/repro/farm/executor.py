@@ -5,24 +5,25 @@ Execution policy, in order:
 1. **Cache probe** — jobs whose artifact is already on disk (and passes the
    checksum + invariant gauntlet, see :mod:`repro.farm.store`) are satisfied
    without running anything.
-2. **Frame sharding** — an under-subscribed batch (fewer pending jobs than
-   workers) is split into contiguous frame slices
-   (:meth:`~repro.farm.job.JobSpec.shard`), so even ``run_one`` of a single
-   long timedemo uses every worker.  Shard results are recombined by
-   :mod:`repro.farm.merge` bit-identically to a serial run — the per-frame
-   full clear makes frame ranges independent (see
-   :mod:`repro.farm.checkpoint`), and ``tests/test_merge.py`` checks the
-   equality on every engine.
+2. **Unit plan** — every batch runs as a list of execution units
+   (:meth:`Farm._plan_units`): whole jobs, or contiguous frame slices
+   (:meth:`~repro.farm.job.JobSpec.shard`).  An under-subscribed batch
+   (fewer pending jobs than workers) is sliced, so even ``run_one`` of a
+   single long timedemo uses every worker; ``shard_frames=k`` pins the
+   slicing, and a pinned plan is the same at every ``--jobs`` width.
+   Shard results are recombined by :mod:`repro.farm.merge` bit-identically
+   to a serial run — the per-frame full clear makes frame ranges
+   independent (see :mod:`repro.farm.checkpoint`), and
+   ``tests/test_merge.py`` checks the equality on every engine.
 3. **Warm parallel execution** — execution units run on a persistent
    ``ProcessPoolExecutor`` (``--jobs N``, default ``os.cpu_count()``; the
-   effective worker and shard width is capped at ``os.cpu_count()`` unless
-   ``oversubscribe=True``, so a small box never runs slower in parallel
-   than serial) that lives for the whole :class:`Farm`, spanning retry
-   rounds *and*
-   consecutive :meth:`Farm.run` calls; it is torn down only when broken by
-   a worker death / kill (or by :meth:`Farm.close`).  Workers precompile
-   the native kernels at init and keep generated traces in an in-process
-   LRU, so only the first job in a worker pays those costs.
+   effective worker and shard width is capped at ``os.cpu_count()``, so a
+   small box never runs slower in parallel than serial) that lives for the
+   whole :class:`Farm`, spanning retry rounds *and* consecutive
+   :meth:`Farm.run` calls; it is torn down only when broken by a worker
+   death / kill (or by :meth:`Farm.close`).  Workers precompile the native
+   kernels at init and keep generated traces in an in-process LRU, so only
+   the first job in a worker pays those costs.
 4. **Result envelope** — a unit's products leave its worker in one
    :class:`JobOutcome`: the result, worker-side phase timings and the
    unit's span buffer.  The store is only the cache; the parent validates
@@ -40,8 +41,10 @@ Execution policy, in order:
    separated by exponential backoff with deterministic jitter.  After
    ``retries`` failed attempts a unit falls back to serial in-parent
    execution.
-6. **Serial fallback** — if the pool cannot be created at all (restricted
-   environments), or ``jobs=1``, everything runs in-process.
+6. **In-process execution** — with ``jobs=1`` or a one-unit plan the
+   plan's units run in the parent, as they do when the pool cannot be
+   created at all (restricted environments).  Either way they are
+   assembled exactly like pooled units.
 7. **Failure accounting** — a job that still fails after the serial
    fallback is *permanently failed*: its full cause chain (including its
    shards') is recorded in telemetry and a :class:`FailureReport`.  With
@@ -274,10 +277,8 @@ class Farm:
         retries: int = 2,
         timeout: float | None = None,
         checkpoint_every: int = 1,
-        telemetry: FarmTelemetry | None = None,
         strict: bool = True,
         shard_frames: int | None = None,
-        oversubscribe: bool = False,
     ):
         self.store = store if store is not None else ArtifactStore()
         self.jobs = int(jobs) if jobs else (os.cpu_count() or 1)
@@ -285,18 +286,13 @@ class Farm:
         #: machine's core count.  On a 1-core box, ``--jobs 4`` used to
         #: *lose* to serial (4 processes competing for 1 core, plus 4-way
         #: shard merges) — capped, the pool runs one worker and shards are
-        #: never planned wider than the hardware.  ``oversubscribe=True``
-        #: restores the uncapped width (shard-planning tests, experiments).
-        self.width = (
-            self.jobs
-            if oversubscribe
-            else max(1, min(self.jobs, os.cpu_count() or 1))
-        )
+        #: never planned wider than the hardware.
+        self.width = max(1, min(self.jobs, os.cpu_count() or 1))
         self.use_cache = use_cache
         self.retries = max(1, int(retries))
         self.timeout = timeout
         self.checkpoint_every = checkpoint_every
-        self.telemetry = telemetry if telemetry is not None else FarmTelemetry()
+        self.telemetry = FarmTelemetry()
         self.strict = strict
         #: ``None`` = shard automatically when the batch under-subscribes
         #: the pool; ``0`` = never shard; ``k`` = split every shardable job
@@ -441,17 +437,16 @@ class Farm:
             if pending:
                 plan = self._plan_units(pending, worker)
                 units = [unit for job in pending for unit in plan[job]]
+                unit_results: dict[JobSpec, Any] = {}
                 if self.jobs <= 1 or len(units) == 1:
-                    failed = self._run_serial(
-                        pending, worker, results, source="serial", causes=causes
+                    self._run_serial(
+                        units, worker, unit_results, "serial", causes
                     )
-                    self._record_failures(report, failed, causes)
                 else:
-                    unit_results: dict[JobSpec, Any] = {}
                     self._run_units(units, worker, unit_results, causes)
-                    self._assemble(
-                        pending, plan, unit_results, results, causes, report
-                    )
+                self._assemble(
+                    pending, plan, unit_results, results, causes, report
+                )
         finally:
             if run_span:
                 run_span.__exit__(None, None, None)
@@ -604,25 +599,21 @@ class Farm:
         worker: Callable,
         results: dict,
         source: str,
+        causes: dict[JobSpec, list[str]],
         attempts: dict[JobSpec, int] | None = None,
-        causes: dict[JobSpec, list[str]] | None = None,
-    ) -> list[JobSpec]:
-        """Run ``batch`` in-process; returns the jobs that failed."""
+    ) -> None:
+        """Run ``batch`` in-process; a failed unit stays out of ``results``."""
         attempts = attempts if attempts is not None else {}
-        causes = causes if causes is not None else {}
-        failed: list[JobSpec] = []
         for job in batch:
             start = time.perf_counter()
+            attempts[job] = attempts.get(job, 0) + 1
             try:
                 outcome = worker(job, self.cache_dir, self.checkpoint_every)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
-                attempts[job] = attempts.get(job, 0) + 1
                 self._note(causes, job, f"{source}: {type(exc).__name__}: {exc}")
-                failed.append(job)
                 continue
-            attempts[job] = attempts.get(job, 0) + 1
             violations = self._validate(job, outcome)
             if violations:
                 self._note(
@@ -630,7 +621,6 @@ class Farm:
                     job,
                     f"{source}: invariant violation: " + "; ".join(violations),
                 )
-                failed.append(job)
                 continue
             self._harvest(
                 job,
@@ -641,7 +631,6 @@ class Farm:
                 time.perf_counter() - start,
                 tuple(causes.get(job, ())),
             )
-        return failed
 
     def _run_units(
         self,
@@ -649,8 +638,8 @@ class Farm:
         worker: Callable,
         results: dict,
         causes: dict[JobSpec, list[str]],
-    ) -> list[JobSpec]:
-        """Run execution units on the warm pool; returns the failed ones.
+    ) -> None:
+        """Run execution units on the warm pool; a failed unit is left out.
 
         The pool persists across retry rounds (and :meth:`run` calls) —
         it is discarded and rebuilt only when a worker death or a deadline
@@ -701,10 +690,9 @@ class Farm:
                     pool, futures, attempts, results, remaining, fallback, causes
                 )
         if fallback:
-            return self._run_serial(
-                fallback, worker, results, "fallback", attempts, causes
+            self._run_serial(
+                fallback, worker, results, "fallback", causes, attempts
             )
-        return []
 
     def _collect_round(
         self,

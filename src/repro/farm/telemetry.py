@@ -39,11 +39,11 @@ class FarmTelemetry:
 
     records: list[JobRecord] = field(default_factory=list)
     failures: list[FailureRecord] = field(default_factory=list)
-    #: Phase accounting lives in a metrics registry (one per telemetry
-    #: instance by default so concurrent Farms never collide; the ``repro
-    #: observe`` CLI passes the process-wide registry in so ``farm status``
-    #: lines and metric dumps read the very same counters).
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: Phase accounting lives in a metrics registry of its own, so
+    #: concurrent Farms never collide.
+    registry: MetricsRegistry = field(
+        default_factory=MetricsRegistry, init=False
+    )
 
     def add_phase(self, phase: str, seconds: float) -> None:
         """Accumulate seconds for an execution phase: ``spawn`` (pool
@@ -53,10 +53,9 @@ class FarmTelemetry:
         (shard assembly)."""
         self.registry.counter(PHASE_PREFIX + phase).inc(seconds)
         # While tracing, mirror into the process-wide registry so span
-        # exports carry phase totals even for a privately-registered farm.
-        shared = obs_metrics.registry()
-        if obs_spans.enabled() and self.registry is not shared:
-            shared.counter(PHASE_PREFIX + phase).inc(seconds)
+        # exports and metric dumps carry the phase totals too.
+        if obs_spans.enabled():
+            obs_metrics.registry().counter(PHASE_PREFIX + phase).inc(seconds)
 
     @property
     def phases(self) -> dict[str, float]:

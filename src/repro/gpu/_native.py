@@ -800,10 +800,6 @@ def _source_digest() -> str:
     return hashlib.sha256(_SOURCE.encode()).hexdigest()
 
 
-def _sidecar(so_path: pathlib.Path) -> pathlib.Path:
-    return so_path.with_name(so_path.name + ".sha256")
-
-
 def _compile(so_path: pathlib.Path) -> bool:
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
@@ -825,43 +821,30 @@ def _compile(so_path: pathlib.Path) -> bool:
                 capture_output=True,
                 timeout=120,
             )
-            # Atomic publish: concurrent farm workers may race to build.
-            # The sidecar records the source digest the binary was built
-            # from and goes first, so a visible .so always has its proof.
-            side = pathlib.Path(tmp) / "kernels.sha256"
-            side.write_text(_source_digest())
-            os.replace(side, _sidecar(so_path))
+            # Atomic publish: concurrent farm workers may race to build,
+            # and a visible .so is always a complete one.
             os.replace(out, so_path)
         return True
     except (OSError, subprocess.SubprocessError):
         return False
 
 
-def _verified(so_path: pathlib.Path) -> bool:
-    """Whether the cached binary's sidecar matches the current source."""
-    try:
-        return _sidecar(so_path).read_text().strip() == _source_digest()
-    except OSError:
-        return False
-
-
 def _quarantine(so_path: pathlib.Path) -> None:
-    """Move a failed binary (and its sidecar) aside for post-mortem."""
-    for path in (so_path, _sidecar(so_path)):
+    """Move a failed binary aside for post-mortem."""
+    try:
+        os.replace(so_path, f"{so_path}.bad-{os.getpid()}")
+    except OSError:
         try:
-            os.replace(path, path.with_name(path.name + f".bad-{os.getpid()}"))
+            so_path.unlink()
         except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            pass
 
 
 def _load() -> ctypes.CDLL | None:
     # Keyed by the *full* SHA-256 of the C source: editing any kernel can
-    # never load a stale binary.  A corrupt or mismatched artifact (bad
-    # sidecar, unloadable .so, missing symbol) is quarantined and rebuilt
-    # once before falling through to the next cache directory.
+    # never load a stale binary.  A corrupt artifact (unloadable .so,
+    # missing symbol) is quarantined and rebuilt once before falling
+    # through to the next cache directory.
     name = f"repro-kernels-{_source_digest()}.so"
     for directory in _cache_dirs():
         so_path = directory / name
@@ -869,9 +852,6 @@ def _load() -> ctypes.CDLL | None:
         for _attempt in range(2):
             if not so_path.exists() and not _compile(so_path):
                 break
-            if not _verified(so_path):
-                _quarantine(so_path)
-                continue
             try:
                 lib = ctypes.CDLL(str(so_path))
                 _configure(lib)

@@ -186,8 +186,14 @@ class Tracer:
         }
 
     def absorb(self, payload: dict) -> None:
-        """Merge a foreign (worker) track into this timeline."""
-        self.foreign[str(payload.get("track", "?"))] = payload
+        """Merge a foreign (worker) track into this timeline.
+
+        The track is kept without its ``metrics``: the caller merges those
+        into the registry that the first track of :meth:`timeline` carries,
+        so an export counts every worker counter once.
+        """
+        track = {k: v for k, v in payload.items() if k != "metrics"}
+        self.foreign[str(payload.get("track", "?"))] = track
 
     def timeline(self, metrics: dict | None = None) -> list[dict]:
         """Every track, own first, foreign tracks in deterministic order."""

@@ -101,8 +101,6 @@ class ServeConfig:
     cache_dir: str | None = None
     #: Forward every span event (draw/stage level included) over WS.
     verbose_events: bool = False
-    #: Frame-sharding policy passed through to the lane farms.
-    shard_frames: int | None = None
     #: Deadline applied to submissions that do not request one (seconds;
     #: ``None`` = no default deadline).
     default_deadline_s: float | None = None
@@ -268,12 +266,7 @@ class ReproServer:
         return self._server.sockets[0].getsockname()[1]
 
     def _new_farm(self) -> Farm:
-        return Farm(
-            store=self.store,
-            jobs=1,
-            checkpoint_every=0,
-            shard_frames=self.config.shard_frames,
-        )
+        return Farm(store=self.store, jobs=1, checkpoint_every=0)
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()

@@ -19,6 +19,7 @@ import html.parser
 import json
 import pathlib
 import re
+import subprocess
 
 import pytest
 
@@ -382,8 +383,20 @@ class TestLoadRun:
         assert _parse_spec_token("bad:token@x", compare.ProbeSpec()) is None
 
     def test_resolve_rev(self):
+        """``HEAD`` resolves as git resolves it here: a full hash inside a
+        work tree, ``None`` outside one (an exported source tree)."""
         root = FIXTURE.parent
-        assert compare.resolve_rev("HEAD", root)
+        try:
+            git = subprocess.run(
+                ["git", "rev-parse", "--verify", "HEAD^{commit}"],
+                cwd=root,
+                capture_output=True,
+                text=True,
+            )
+            expected = git.stdout.strip() if git.returncode == 0 else None
+        except OSError:  # no git at all
+            expected = None
+        assert compare.resolve_rev("HEAD", root) == expected
         assert compare.resolve_rev("definitely-not-a-ref", root) is None
 
 

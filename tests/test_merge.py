@@ -223,9 +223,14 @@ def test_shard_degenerate_cases():
     assert "+1/2" in shard.describe()
 
 
-def test_plan_auto_shards_underloaded_batch(tmp_path):
-    # oversubscribe=True tests the planning math independent of host cores
-    farm = Farm(store=ArtifactStore(tmp_path), jobs=4, oversubscribe=True)
+@pytest.fixture
+def four_cores(monkeypatch):
+    """Plan as a 4-core host would, whatever this host's core count."""
+    monkeypatch.setattr("repro.farm.executor.os.cpu_count", lambda: 4)
+
+
+def test_plan_auto_shards_underloaded_batch(tmp_path, four_cores):
+    farm = Farm(store=ArtifactStore(tmp_path), jobs=4)
     job = sim_job(WORKLOAD, 4)
     plan = farm._plan_units([job], run_job)
     assert len(plan[job]) == 4
@@ -237,34 +242,23 @@ def test_plan_width_capped_by_cpu_count(tmp_path, monkeypatch):
     assert farm.width == 1
     job = sim_job(WORKLOAD, 4)
     # A 1-core box never pays shard-merge overhead for parallelism it
-    # cannot have; oversubscribe=True restores the requested width.
+    # cannot have.
     assert farm._plan_units([job], run_job) == {job: (job,)}
-    wide = Farm(store=ArtifactStore(tmp_path), jobs=4, oversubscribe=True)
-    assert wide.width == 4
 
 
-def test_plan_keeps_full_batches_whole(tmp_path):
-    farm = Farm(store=ArtifactStore(tmp_path), jobs=2, oversubscribe=True)
+def test_plan_keeps_full_batches_whole(tmp_path, four_cores):
+    farm = Farm(store=ArtifactStore(tmp_path), jobs=2)
     jobs = [sim_job(WORKLOAD, 4), sim_job(OTHER, 4)]
     plan = farm._plan_units(jobs, run_job)
     assert all(plan[job] == (job,) for job in jobs)
 
 
-def test_plan_respects_shard_overrides(tmp_path):
+def test_plan_respects_shard_overrides(tmp_path, four_cores):
     job = sim_job(WORKLOAD, 4)
-    off = Farm(
-        store=ArtifactStore(tmp_path / "off"),
-        jobs=4,
-        shard_frames=0,
-        oversubscribe=True,
-    )
+    store = ArtifactStore(tmp_path)
+    off = Farm(store=store, jobs=4, shard_frames=0)
     assert off._plan_units([job], run_job) == {job: (job,)}
-    fixed = Farm(
-        store=ArtifactStore(tmp_path / "k"),
-        jobs=2,
-        shard_frames=4,
-        oversubscribe=True,
-    )
+    fixed = Farm(store=store, jobs=2, shard_frames=4)
     assert len(fixed._plan_units([job], run_job)[job]) == 4
 
 
@@ -293,6 +287,23 @@ def test_farm_sharded_run_matches_serial(tmp_path):
         again = farm.run_one(job)
     assert results_equal(serial, again)
     assert farm.telemetry.cache_hits >= 1
+
+
+def test_pinned_plan_runs_in_process_at_jobs_1(tmp_path):
+    """A pin holds at every width: ``jobs=1`` runs the same frame shards
+    in the parent and merges them like the pool would."""
+    job = sim_job(WORKLOAD, 2)
+    whole = Farm(
+        store=ArtifactStore(tmp_path / "whole"), jobs=1, shard_frames=0
+    ).run_one(job)
+    farm = Farm(store=ArtifactStore(tmp_path / "pin"), jobs=1, shard_frames=2)
+    pinned = farm.run_one(job)
+    assert [r.source for r in farm.telemetry.records] == [
+        "serial", "serial", "merge"
+    ]
+    assert results_equal(whole, pinned)
+    assert farm.store.contains(job)  # merged parent cached whole
+    assert farm._pool is None
 
 
 def test_warm_pool_persists_across_runs(tmp_path):

@@ -3,8 +3,9 @@
 The subsystem's contract, each clause tested here:
 
 * spans nest correctly and the logical (event-sequence) clock makes
-  exports **bit-stable** — identical across reruns and across farm
-  ``--jobs`` widths for the same workload/seed;
+  exports **bit-stable** — identical across reruns and across farm pool
+  widths for the same workload/seed; a pinned run exported serially and
+  pooled reads the same counters and per-span counts;
 * the disabled path is free: ``span()`` hands back a shared no-op
   singleton and allocates nothing, so instrumentation can live in the
   pipeline's hot loops permanently;
@@ -13,8 +14,9 @@ The subsystem's contract, each clause tested here:
 * worker span buffers ride each unit's result envelope and merge into
   one timeline at harvest, the same with or without a store;
 * exports round-trip (JSONL) and satisfy the Chrome-trace schema check;
-* ``FarmTelemetry`` phase accounting reads from the metrics registry, so
-  the farm summary line and a metrics dump can never disagree.
+* ``FarmTelemetry`` phase accounting reads from a metrics registry and
+  is mirrored into the process registry while tracing, so the farm
+  summary line and a traced run's metrics dump can never disagree.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import tracemalloc
 
 import pytest
 
+from repro.compare import from_spans
 from repro.farm import ArtifactStore, Farm, sim_job
 from repro.farm.checkpoint import clear_trace_cache
 from repro.farm.telemetry import FarmTelemetry
@@ -284,6 +287,8 @@ def test_absorb_merges_track_and_metrics():
     assert absorb(_fake_payload())
     spans.disable()
     assert list(tracer.foreign) == ["unit"]
+    # The counters live once, in the registry the first track carries.
+    assert "metrics" not in tracer.foreign["unit"]
     assert metrics.registry().counter("gpu.frames").value == 1
     assert metrics.registry().counter("observe.tracks_merged").value == 1
 
@@ -298,14 +303,6 @@ def test_farm_telemetry_phases_backed_by_registry():
     assert telemetry.registry.counter("farm.phase.trace").value == 0.75
     line = telemetry.summary_line()
     assert "[merge 1.00s trace 0.75s]" in line
-
-
-def test_farm_telemetry_shares_process_registry_when_asked():
-    telemetry = FarmTelemetry(registry=metrics.registry())
-    telemetry.add_phase("simulate", 2.0)
-    assert metrics.registry().counter("farm.phase.simulate").value == 2.0
-    # same counter object → the summary and a metrics dump cannot disagree
-    assert telemetry.phases["simulate"] == 2.0
 
 
 def test_private_telemetry_mirrors_to_shared_registry_while_tracing():
@@ -389,3 +386,23 @@ def test_worker_tracks_merge_bit_stably_across_jobs_widths(tmp_path):
     assert validate_chrome(json.loads(export2)) == []
     merged = metrics.registry().counter("observe.tracks_merged").value
     assert merged == 2
+
+
+def test_pinned_export_counts_agree_across_widths(tmp_path):
+    """One pinned run exported serially and pooled: every worker counter
+    is exported once, and both plans trace the same spans."""
+    runs = {}
+    for jobs in (1, 2):
+        timeline, _ = _traced_farm_export(tmp_path / str(jobs), jobs=jobs)
+        path = tmp_path / f"jobs{jobs}.jsonl"
+        path.write_text(to_jsonl(timeline))
+        runs[jobs] = from_spans(path)
+    serial, pooled = runs[1], runs[2]
+    assert serial.metrics["gpu.frames"] == pooled.metrics["gpu.frames"] == 2
+    assert (
+        serial.metrics["gpu.fragments_shaded"]
+        == pooled.metrics["gpu.fragments_shaded"]
+    )
+    assert {name: stage["count"] for name, stage in serial.stages.items()} == {
+        name: stage["count"] for name, stage in pooled.stages.items()
+    }

@@ -19,6 +19,8 @@ image, and the final color/z/stencil planes.
 import dataclasses
 import functools
 import hashlib
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -112,6 +114,25 @@ def test_native_kernels_match_python(monkeypatch):
         assert _fingerprint(name, True) == with_native[name], name
 
 
+def test_native_cache_rebuilds_a_corrupt_binary(tmp_path, monkeypatch):
+    """The source digest in the binary's name is its build key: garbage
+    bytes under that name are moved aside and the kernels rebuilt there."""
+    if not any(shutil.which(cc) for cc in ("cc", "gcc", "clang")):
+        pytest.skip("no C compiler")
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    so_path = tmp_path / f"repro-kernels-{_native._source_digest()}.so"
+    so_path.write_bytes(b"not a shared object")
+    _native._reset()
+    try:
+        assert _native.available()
+    finally:
+        _native._reset()
+    bad = tmp_path / f"{so_path.name}.bad-{os.getpid()}"
+    assert bad.read_bytes() == b"not a shared object"
+    assert so_path.read_bytes() != b"not a shared object"
+
+
 def _random_triangles(count: int, seed: int = 7) -> ScreenTriangles:
     rng = np.random.default_rng(seed)
     return ScreenTriangles(
@@ -152,7 +173,8 @@ def test_facade_exports():
 def test_runner_simulation_shim_removed():
     """The 1.x ``Runner.simulation`` deprecation shim is gone since 2.0;
     3.0 removed the fused path's two ``GpuConfig`` fields, 4.0 the
-    ``characterize`` entry points and 5.0 ``TextureResource(name, mips)``."""
+    ``characterize`` entry points, 5.0 ``TextureResource(name, mips)`` and
+    6.0 ``ServeConfig.shard_frames``."""
     from repro.experiments.runner import ExperimentConfig, Runner
 
     runner = Runner(ExperimentConfig(sim_frames=1))
@@ -161,4 +183,4 @@ def test_runner_simulation_shim_removed():
     assert not hasattr(repro, "characterize")
     fields = {field.name for field in dataclasses.fields(repro.GpuConfig)}
     assert not fields & {"fused", "threads"}
-    assert repro.__version__.split(".")[0] == "5"
+    assert repro.__version__.split(".")[0] == "6"
