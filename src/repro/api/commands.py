@@ -58,7 +58,8 @@ class SetUniform:
 
     @staticmethod
     def matrix(name: str, matrix: np.ndarray) -> "SetUniform":
-        return SetUniform(name, tuple(float(x) for x in np.asarray(matrix).reshape(-1)))
+        flat = np.asarray(matrix, dtype=np.float64).reshape(-1)
+        return SetUniform(name, tuple(flat.tolist()))
 
 
 @dataclass(frozen=True)

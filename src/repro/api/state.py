@@ -91,9 +91,11 @@ class StateMachine:
 
     def apply(self, call: ApiCall) -> None:
         """Apply a non-draw call; draws do not change state."""
-        if isinstance(call, Draw):
-            return
-        if isinstance(call, BindProgram):
+        if isinstance(call, SetUniform):  # first: most calls are uniforms
+            self.uniforms[call.name] = call.value
+        elif isinstance(call, (Draw, UploadResource, Clear)):
+            pass  # resource/clear handling is the pipeline's job
+        elif isinstance(call, BindProgram):
             key = f"{call.stage}_program"
             self.state = replace(self.state, **{key: call.program})
         elif isinstance(call, BindTexture):
@@ -113,10 +115,6 @@ class StateMachine:
             ):
                 value = StencilSide(*value)
             self.state = replace(self.state, **{call.name: value})
-        elif isinstance(call, SetUniform):
-            self.uniforms[call.name] = call.value
-        elif isinstance(call, (UploadResource, Clear)):
-            pass  # resource/clear handling is the pipeline's job
         else:
             raise TypeError(f"unknown call type {type(call).__name__}")
 

@@ -7,6 +7,8 @@ names into instruction counts (Tables IV and XII).
 
 from __future__ import annotations
 
+import itertools
+
 from repro.api.commands import Draw, UploadResource
 from repro.api.state import StateMachine
 from repro.api.stats import FrameApiStats, WorkloadApiStats
@@ -22,14 +24,13 @@ class ApiTracer:
         self._programs = programs or {}
 
     def trace_stats(self, trace: Trace, max_frames: int | None = None) -> WorkloadApiStats:
-        """Collect statistics for a whole trace (optionally truncated)."""
+        """Collect statistics for a whole trace (optionally truncated); a
+        lazy trace generates no frame past ``max_frames``."""
         stats = WorkloadApiStats(
             name=trace.meta.name,
             index_size_bytes=trace.meta.index_size_bytes,
         )
-        for frame in trace.frames():
-            if max_frames is not None and len(stats.frames) >= max_frames:
-                break
+        for frame in itertools.islice(trace.frames(), max_frames):
             stats.add(self.frame_stats(frame, trace.meta.index_size_bytes))
         return stats
 

@@ -964,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="fault-plan seed")
     p.add_argument(
-        "--jobs", type=int, default=2, help="farm width inside each scenario"
+        "--jobs", type=int, default=2, help="farm width in each scenario (at least 2)"
     )
     p.add_argument(
         "--only", nargs="*", help="subset of scenarios, e.g. crash hang"

@@ -304,6 +304,10 @@ def run_chaos(
     out: Callable[[str], None] = print,
 ) -> int:
     """Run the suite; returns a process exit code (0 = every scenario held)."""
+    if jobs < 2:
+        out(f"chaos needs --jobs of at least 2 (got {jobs}): a one-worker farm "
+            "runs units in this process, where a crash fault would end the suite")
+        return 2
     selected = only or list(SCENARIOS)
     for name in selected:
         if name not in SCENARIOS:

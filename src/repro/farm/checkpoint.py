@@ -15,13 +15,14 @@ supplied, each texture's extent and recipe — but not what is derived on
 first read: vertex normals and texels stay out of it, and the resumed
 simulator derives them again when it first reads them.
 
-Trace generation is the other shared cost: every shard of one run replays
-the *same* call stream, so :func:`job_trace` resolves it through a
+Trace generation is the other shared cost: every shard of one simulation
+replays the *same* call stream, so :func:`job_trace` resolves it through a
 worker-local LRU and the store's sealed trace entries
 (:meth:`repro.farm.store.ArtifactStore.load_trace`) instead of regenerating
-it per job.  Only jobs on the same profile share a trace: ``sim`` and
-``geometry`` jobs of one total length do, but ``api`` jobs measure the
-full-scale profile and never replay a simulation trace.
+it per job; ``sim`` and ``geometry`` jobs of one total length share one.
+``api`` jobs read the full-scale profile, which nothing else replays, once
+per frame: :func:`run_api_job` streams their slice, and only their slice,
+from the generator into the tracer.
 
 The job's :class:`~repro.workloads.generator.GameWorkload` is built once
 per job: :func:`repro.farm.executor.run_job` builds it and hands it to
@@ -55,7 +56,7 @@ def build_job_workload(job: JobSpec) -> GameWorkload:
     return GameWorkload(spec, sim=job.sim_profile)
 
 
-#: Worker-local cache of materialized timedemos, keyed by
+#: Worker-local cache of materialized simulation timedemos, keyed by
 #: :meth:`JobSpec.trace_key`.  Lives for the life of the (warm, reused)
 #: pool worker, so consecutive shards of one run pay for trace generation
 #: or trace-file parsing once, not once per shard.
@@ -72,7 +73,7 @@ def job_trace(
     store: ArtifactStore | None = None,
     workload: GameWorkload | None = None,
 ) -> Trace:
-    """The full-length timedemo ``job``'s frame slice is cut from.
+    """The full-length timedemo a ``sim``/``geometry`` job's slice is cut from.
 
     Resolution order: worker-local LRU → the store's shared trace file →
     generate (and publish to the store for the other workers).  A store
@@ -105,27 +106,25 @@ def job_trace(
 
 def run_api_job(
     job: JobSpec,
-    store: ArtifactStore | None = None,
     trace: Trace | None = None,
     workload: GameWorkload | None = None,
 ) -> WorkloadApiStats:
-    """Collect API statistics for ``job``'s frame slice of the shared trace.
+    """Collect API statistics for ``job``'s frame slice of its timedemo.
 
     API frames are analyzed with a fresh state machine per frame (see
     :meth:`repro.api.tracer.ApiTracer.frame_stats`), so a slice needs no
-    fast-forward at all — just the right frames of the right timedemo.
+    fast-forward.  Without ``trace`` the slice streams from the generator,
+    which starts at the slice's first frame, and nothing is stored; a
+    passed ``trace`` holds the whole demo, and its earlier frames are skipped.
     ``workload`` is the job's built workload; without one it is built here.
     """
     if workload is None:
         workload = build_job_workload(job)
     if trace is None:
-        trace = job_trace(job, store, workload)
-    if job.is_shard:
-        frames = list(trace.frames())
-        frames = frames[job.frame_offset : job.frame_offset + job.frames]
-        trace = Trace(trace.meta, frames)
+        trace = workload.trace(frames=job.total_frames, first=job.frame_offset)
+    frames = (f for f in trace.frames() if f.number >= job.frame_offset)
     tracer = ApiTracer(workload.programs)
-    return tracer.trace_stats(trace, max_frames=job.frames)
+    return tracer.trace_stats(Trace(trace.meta, frames), max_frames=job.frames)
 
 
 def run_checkpointed(

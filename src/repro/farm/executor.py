@@ -22,8 +22,8 @@ Execution policy, in order:
    whole :class:`Farm`, spanning retry rounds *and* consecutive
    :meth:`Farm.run` calls; it is torn down only when broken by a worker
    death / kill (or by :meth:`Farm.close`).  Workers precompile the native
-   kernels at init and keep generated traces in an in-process LRU, so only
-   the first job in a worker pays those costs.
+   kernels at init and keep generated simulation traces in an in-process
+   LRU, so only the first job in a worker pays those costs.
 4. **Result envelope** — a unit's products leave its worker in one
    :class:`JobOutcome`: the result, worker-side phase timings and the
    unit's span buffer.  The store is only the cache; the parent validates
@@ -170,13 +170,13 @@ def run_job(
     Probes the cache first so retried or restarted workers never redo
     finished work, and persists the artifact before returning so the result
     survives a parent crash.  A fresh job builds its workload once and
-    passes it to trace resolution and to the run.  The timedemo is
+    passes it to the run; a ``sim`` or ``geometry`` job's timedemo is
     resolved through the shared trace store / worker-local cache
-    (:func:`repro.farm.checkpoint.job_trace`), so it is generated once per
-    demo, not once per shard.  A fresh outcome carries the unit's span
-    buffer when the unit traced on its own tracer.  Fault-injection hooks
-    fire here so the chaos suite can kill, hang, or trip the worker at a
-    controlled point.
+    (:func:`repro.farm.checkpoint.job_trace`), once per demo, not once per
+    shard, while an ``api`` job streams its frames.  A fresh outcome carries
+    the unit's span buffer when the unit traced on its own tracer.
+    Fault-injection hooks fire here so the chaos suite can kill, hang, or
+    trip the worker at a controlled point.
     """
     faults.reset_native_if_planned()
     faults.on_job_start(job.describe())
@@ -195,11 +195,11 @@ def run_job(
         phases: dict[str, float] = {}
         start = time.perf_counter()
         workload = build_job_workload(job)
-        trace = job_trace(job, store, workload)
+        trace = None if job.kind == "api" else job_trace(job, store, workload)
         phases["trace"] = time.perf_counter() - start
         mark = time.perf_counter()
         if job.kind == "api":
-            result = run_api_job(job, store, trace=trace, workload=workload)
+            result = run_api_job(job, workload=workload)
         else:
             result = run_checkpointed(
                 job, store, checkpoint_every, trace=trace, workload=workload

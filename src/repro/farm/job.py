@@ -135,8 +135,8 @@ class JobSpec:
         the same call stream, so the trace is stored once per (workload,
         seed, profile, length) and loaded by every worker that needs any
         slice of it.  ``sim`` and ``geometry`` jobs of one total length
-        share a file; ``api`` jobs use the full-scale profile
-        (:attr:`sim_profile` is False), so they never share one with them.
+        share a file; ``api`` jobs store none: they stream the full-scale
+        profile (:attr:`sim_profile` is False), which no other kind replays.
         """
         from repro.workloads.registry import workload as lookup
 

@@ -17,6 +17,8 @@ Two render paths cover the paper's workloads:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.api.commands import (
@@ -44,6 +46,14 @@ from repro.workloads.spec import WorkloadSpec
 from repro.workloads.textures import build_texture_set
 
 _MATERIAL_SLOTS = 40
+
+
+@functools.lru_cache(maxsize=4)
+def _startup_burst(count: int) -> tuple[SetUniform, ...]:
+    """Frame 0's startup uniforms (Fig. 3's spike), equal in every trace."""
+    return tuple(
+        SetUniform("startup_param", (float(i), 0.0, 0.0, 0.0)) for i in range(count)
+    )
 
 
 class Material:
@@ -240,7 +250,14 @@ class GameEngine:
         frames: int | None = None,
         width: int = 1024,
         height: int = 768,
+        first: int = 0,
     ) -> Trace:
+        """The ``frames``-long timedemo from frame ``first`` on.
+
+        A frame's calls depend only on its number, the demo's length and the
+        aspect ratio, so the frames before ``first`` are never generated;
+        ``meta`` still describes the whole demo.
+        """
         frame_count = frames if frames is not None else self.spec.frames
         meta = TraceMeta(
             name=self.spec.name,
@@ -256,7 +273,7 @@ class GameEngine:
 
         def frames_fn():
             path = self._build_path(frame_count, width / height)
-            for f in range(frame_count):
+            for f in range(first, frame_count):
                 yield Frame(f, self.frame_calls(f, frame_count, path))
 
         return Trace(meta, frames_fn)
@@ -340,10 +357,7 @@ class GameEngine:
                             blocks * tex.format.block_bytes,
                         )
                     )
-            calls.extend(
-                SetUniform("startup_param", (float(i), 0.0, 0.0, 0.0))
-                for i in range(params.startup_calls)
-            )
+            calls.extend(_startup_burst(params.startup_calls))
             return calls
         for point in params.transition_points:
             if frame == int(point * total_frames):

@@ -41,13 +41,16 @@ class GameWorkload:
     def textures(self):
         return self.engine.textures
 
-    def trace(self, frames: int | None = None) -> Trace:
+    def trace(self, frames: int | None = None, first: int = 0) -> Trace:
         if self.is_sim_profile:
             frames = frames if frames is not None else self.spec.sim.frames
             return self.engine.trace(
-                frames=frames, width=self.spec.sim.width, height=self.spec.sim.height
+                frames=frames,
+                width=self.spec.sim.width,
+                height=self.spec.sim.height,
+                first=first,
             )
-        return self.engine.trace(frames=frames)
+        return self.engine.trace(frames=frames, first=first)
 
     def api_stats(self, frames: int | None = None) -> WorkloadApiStats:
         """GLInterceptor-style statistics over the (possibly truncated) trace."""

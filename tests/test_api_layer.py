@@ -1,5 +1,7 @@
 """Tests for the API layer: commands, state machine, trace I/O, tracer."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,20 @@ class TestCommands:
         u = SetUniform.matrix("mvp", np.eye(4))
         assert len(u.value) == 16
         assert u.value[0] == 1.0 and u.value[1] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_uniform_matrix_is_bitwise_the_per_element_conversion(self, dtype):
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310]
+        if dtype is np.int64:
+            values = np.array([0, -1, 7, 2**31, -(2**40)] + list(range(11)))
+        else:
+            values = np.array(special + [1 / 3, -3e38, 1e-45, 0.1] + [2.0] * 5)
+            values = values.astype(dtype)
+        matrix = values.reshape(4, 4)
+        old = tuple(float(x) for x in np.asarray(matrix).reshape(-1))
+        new = SetUniform.matrix("m", matrix).value
+        assert all(type(x) is float for x in new)
+        assert struct.pack("16d", *new) == struct.pack("16d", *old)
 
 
 class TestStateMachine:
@@ -97,6 +113,10 @@ class TestStateMachine:
         before = machine.state
         machine.apply(Draw("m", PrimitiveType.TRIANGLE_LIST, 3))
         assert machine.state is before
+
+    def test_apply_rejects_unknown_call_type(self):
+        with pytest.raises(TypeError):
+            StateMachine().apply(object())
 
 
 def small_trace() -> Trace:
@@ -199,6 +219,20 @@ class TestTracer:
         tracer = ApiTracer(self.make_programs())
         stats = tracer.trace_stats(small_trace())
         assert stats.index_bandwidth_bytes_per_s(100.0) == pytest.approx(8400.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_max_frames_pulls_exactly_that_many_frames(self, k):
+        calls = next(small_trace().frames()).calls
+        pulled: list[int] = []
+
+        def frames():
+            for number in range(5):
+                pulled.append(number)
+                yield Frame(number, calls)
+
+        lazy = Trace(TraceMeta("lazy", GraphicsApi.OPENGL, 5), frames)
+        stats = ApiTracer(self.make_programs()).trace_stats(lazy, max_frames=k)
+        assert stats.frame_count == k and pulled == list(range(k))
 
     def test_unknown_programs_ignored(self):
         tracer = ApiTracer({})  # no registry: shader stats fall to zero

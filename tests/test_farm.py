@@ -195,6 +195,22 @@ class TestWorkloadBuilds:
         assert not outcome.from_cache
         assert builds == [WORKLOAD]
 
+    def test_api_job_streams_past_the_trace_store(self, tmp_path, builds):
+        """A fresh API job stores no trace and parks none in the worker LRU;
+        a sim job still does both."""
+        from repro.farm.checkpoint import _TRACE_CACHE
+
+        store = ArtifactStore(tmp_path)
+        run_job(api_job(WORKLOAD, 1), str(tmp_path))
+        assert not store.trace_dir.is_dir() or not any(store.trace_dir.iterdir())
+        assert not _TRACE_CACHE
+        job = sim_job(WORKLOAD, 1)
+        run_job(job, str(tmp_path))
+        assert [p.name for p in store.trace_dir.iterdir()] == [
+            store.trace_path(job).name
+        ]
+        assert list(_TRACE_CACHE) == [job.trace_key()]
+
     def test_stored_job_builds_nothing(self, tmp_path, builds):
         job = api_job(WORKLOAD, 1)
         run_job(job, str(tmp_path))

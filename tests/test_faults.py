@@ -334,6 +334,19 @@ class TestChaosRecovery:
         chaos._native_compile(chaos_ctx("native"))
 
 
+def test_chaos_refuses_a_one_worker_farm(monkeypatch):
+    """With one worker the farm runs units in-process, where an injected
+    crash would exit the suite: ``run_chaos`` refuses before any farm."""
+
+    def no_farm(*args, **kwargs):
+        raise AssertionError("run_chaos started a farm")
+
+    monkeypatch.setattr(chaos, "Farm", no_farm)
+    lines: list[str] = []
+    assert chaos.run_chaos(jobs=1, out=lines.append) == 2
+    assert len(lines) == 1 and "at least 2" in lines[0]
+
+
 def test_corrupt_shard_artifact_is_a_cache_miss_not_a_retry(chaos_ctx):
     """Results ride the worker's envelope: a shard artifact damaged after
     the worker saved it costs the run nothing, and the cache quarantines

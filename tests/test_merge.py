@@ -42,6 +42,7 @@ from repro.farm.checkpoint import (
     run_api_job,
 )
 from repro.workloads import all_workloads, build_workload
+from repro.workloads.engines import GameEngine
 
 WORKLOAD = "UT2004/Primeval"
 OTHER = "Doom3/trdemo2"
@@ -122,6 +123,27 @@ def test_sharded_simulation_is_bit_identical(name):
 def test_sharded_api_stats_are_bit_identical(api_split):
     serial, parts = api_split
     assert merge_api_stats(parts) == serial
+
+
+def test_streamed_api_job_equals_materialized_replay(monkeypatch):
+    """Without a trace an API job streams its frames from the generator, a
+    shard only its own; the whole job and its merged shards equal a
+    materialized replay."""
+    job = api_job(WORKLOAD, 4)
+    workload = build_job_workload(job)
+    trace = workload.trace(frames=4).materialize()
+    expected = ApiTracer(workload.programs).trace_stats(trace)
+    generated: list[int] = []
+    frame_calls = GameEngine.frame_calls
+
+    def counted(engine, frame, *args):
+        generated.append(frame)
+        return frame_calls(engine, frame, *args)
+
+    monkeypatch.setattr(GameEngine, "frame_calls", counted)
+    assert run_api_job(job) == expected
+    assert merge_api_stats([run_api_job(s) for s in job.shard(2)]) == expected
+    assert generated == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("profile", ["sim", "full"])

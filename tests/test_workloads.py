@@ -1,9 +1,11 @@
 """Tests for the synthetic workload package."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.api.commands import Clear, Draw, GraphicsApi, UploadResource
+from repro.api.commands import Clear, Draw, GraphicsApi, SetUniform, UploadResource
 from repro.geometry.primitives import PrimitiveType
 from repro.gpu.texture import TextureFilter
 from repro.workloads import (
@@ -209,6 +211,32 @@ class TestEngineTraces:
                 else:
                     modes.add("interaction")
         assert modes == {"prepass", "volume", "interaction"}
+
+    def test_startup_burst_is_the_freshly_built_uniforms(self):
+        """Frame 0 of a full-profile trace holds, in order, 12,000 startup
+        uniforms equal to freshly built calls; a pickle round trip of the
+        trace compares equal."""
+        frames = list(build_workload("UT2004/Primeval").trace(frames=1).frames())
+        expected = [
+            SetUniform("startup_param", (float(i), 0.0, 0.0, 0.0))
+            for i in range(12_000)
+        ]
+        calls = frames[0].calls
+        start = calls.index(expected[0])
+        assert calls[start : start + len(expected)] == expected
+        assert sum(
+            isinstance(c, SetUniform) and c.name == "startup_param" for c in calls
+        ) == len(expected)
+        assert pickle.loads(pickle.dumps(frames)) == frames
+
+    @pytest.mark.parametrize("sim", [False, True], ids=["full", "sim"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_trace_from_a_later_frame_is_the_demo_suffix(self, name, sim):
+        """Generation may start mid-demo: a frame's calls depend on its
+        number and the demo length alone, never on the frames before it."""
+        wl = build_workload(name, sim=sim)
+        suffix = list(wl.trace(frames=3, first=1).frames())
+        assert suffix == list(wl.trace(frames=3).frames())[1:]
 
     def test_oblivion_region_switch(self):
         wl = build_workload("Oblivion/Anvil Castle")
