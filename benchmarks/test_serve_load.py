@@ -17,7 +17,7 @@ from repro.serve import check_loadtest, run_loadtest
 from repro.util.tables import format_table
 
 
-def _stub_worker(job, cache_dir, checkpoint_every):
+def _stub_worker(job, cache_dir):
     time.sleep(0.01)
     return {"workload": job.workload, "seed": job.seed}
 

@@ -33,7 +33,7 @@ from repro.gpu.config import GpuConfig
 from repro.gpu.pipeline import GpuSimulator, SimulationResult
 from repro.workloads import build_workload, all_workloads, workload
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "ApiTracer",

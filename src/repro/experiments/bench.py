@@ -175,9 +175,7 @@ def _measure_farm(specs: list, width: int) -> dict:
     from repro.farm import ArtifactStore, Farm
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-farm-") as tmp:
-        with Farm(
-            store=ArtifactStore(tmp), jobs=width, checkpoint_every=0
-        ) as farm:
+        with Farm(store=ArtifactStore(tmp), jobs=width) as farm:
             start = time.perf_counter()
             farm.run(list(specs))
             wall = time.perf_counter() - start

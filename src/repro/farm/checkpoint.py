@@ -6,14 +6,12 @@ and drops all cross-frame cache contents, so frame ranges of one timedemo
 are independent: the farm shards a run into contiguous slices (see
 :meth:`repro.farm.job.JobSpec.shard`) and each worker fast-forwards the API
 state machine over the frames before its slice, then simulates only its
-own.  Checkpointing stays for recovery inside a slice — the whole
-:class:`~repro.gpu.pipeline.GpuSimulator` pickles cleanly, so an
-interrupted worker restarts from the last completed frame instead of frame
-zero, bit-identically (covered by ``tests/test_farm.py``).  A checkpoint
-keeps the workload's resources as built — mesh arrays, normals a generator
-supplied, each texture's extent and recipe — but not what is derived on
-first read: vertex normals and texels stay out of it, and the resumed
-simulator derives them again when it first reads them.
+own.  An interrupted slice resumes the same way.  Its checkpoint is the
+:class:`~repro.gpu.pipeline.SimulationResult` of the frames it finished,
+a few KB; the rest of the slice runs on a fresh simulator from the first
+unfinished frame, and :func:`repro.farm.merge.merge_results` folds the
+saved frames in front, bit-identically to an uninterrupted run (covered by
+``tests/test_farm.py``).  No simulator is ever pickled.
 
 Trace generation is the other shared cost: every shard of one simulation
 replays the *same* call stream, so :func:`job_trace` resolves it through a
@@ -41,6 +39,7 @@ from repro.api.tracer import ApiTracer
 from repro.api.stats import WorkloadApiStats
 from repro.farm import faults
 from repro.farm.job import JobSpec
+from repro.farm.merge import merge_results
 from repro.farm.store import ArtifactStore
 from repro.gpu.pipeline import SimulationResult
 from repro.workloads.generator import GameWorkload
@@ -130,63 +129,62 @@ def run_api_job(
 def run_checkpointed(
     job: JobSpec,
     store: ArtifactStore | None,
-    checkpoint_every: int = 1,
     on_frame=None,
     trace: Trace | None = None,
     workload: GameWorkload | None = None,
 ) -> SimulationResult:
-    """Execute a sim/geometry job, checkpointing every N completed frames.
+    """Execute a sim/geometry job, checkpointing after every finished frame.
 
-    With a store, an existing checkpoint for this job key is loaded and the
-    trace replay skips the frames it already contains.  The checkpoint is
-    deleted once the run completes (the artifact supersedes it).
-    ``on_frame`` is an extra per-frame hook the tests use to inject
-    interrupts.
+    With a store, the result of the frames finished so far is saved after
+    each frame but the last.  A run that finds a checkpoint for this job
+    key simulates only the frames after it, as a frame shard does, and
+    merges the two.  The checkpoint is deleted once the run completes (the
+    artifact supersedes it).  ``on_frame(sim, n)`` is an extra per-frame
+    hook the tests use to inject interrupts; ``n`` counts the job's
+    finished frames, restored ones included.
 
     For a frame shard, the replay fast-forwards the API state machine over
-    the ``job.frame_offset`` frames before the slice (no simulation work)
-    and then simulates ``job.frames`` frames of the shared timedemo.
+    the frames before the slice (no simulation work) and then simulates
+    ``job.frames`` frames of the shared timedemo.
 
     ``workload`` is the job's built workload; without one it is built here.
     """
     if workload is None:
         workload = build_job_workload(job)
-    checkpointing = store is not None and checkpoint_every > 0
+    done = store.load_checkpoint(job) if store is not None else None
+    restored = len(done.frame_stats) if done is not None else 0
 
-    sim = store.load_checkpoint(job) if checkpointing else None
-    resume = sim is not None
-    if sim is None:
-        sim = workload.simulator(job.config)
-
-    if sim.frames_completed >= job.frames:
-        result = sim.result()
+    if restored >= job.frames:
+        result = done
     else:
         if trace is None:
             trace = job_trace(job, store, workload)
 
+        def so_far(sim) -> SimulationResult:
+            part = sim.result()
+            return part if done is None else merge_results([done, part])
+
         def hook(simulator, frames_done: int) -> None:
-            if (
-                checkpointing
-                and frames_done < job.frames
-                and frames_done % checkpoint_every == 0
-            ):
+            frames_done += restored
+            if store is not None and frames_done < job.frames:
                 try:
-                    store.save_checkpoint(job, simulator)
+                    store.save_checkpoint(job, so_far(simulator))
                 except OSError:
                     pass  # full/read-only cache dir: run on without snapshots
             faults.on_frame(job.describe(), frames_done)
             if on_frame is not None:
                 on_frame(simulator, frames_done)
 
-        result = sim.run_trace(
+        sim = workload.simulator(job.config)
+        sim.run_trace(
             trace,
-            max_frames=job.frames,
+            max_frames=job.frames - restored,
             fragment_stages=job.fragment_stages,
-            resume=resume,
-            start_frame=job.frame_offset,
+            start_frame=job.frame_offset + restored,
             on_frame=hook,
         )
+        result = so_far(sim)
 
-    if checkpointing:
+    if store is not None:
         store.clear_checkpoint(job)
     return result

@@ -160,11 +160,7 @@ class JobOutcome:
     spans: dict | None = None
 
 
-def run_job(
-    job: JobSpec,
-    cache_dir: str | None = None,
-    checkpoint_every: int = 1,
-) -> JobOutcome:
+def run_job(job: JobSpec, cache_dir: str | None = None) -> JobOutcome:
     """Compute one job end-to-end (the worker-process entry point).
 
     Probes the cache first so retried or restarted workers never redo
@@ -201,9 +197,7 @@ def run_job(
         if job.kind == "api":
             result = run_api_job(job, workload=workload)
         else:
-            result = run_checkpointed(
-                job, store, checkpoint_every, trace=trace, workload=workload
-            )
+            result = run_checkpointed(job, store, trace=trace, workload=workload)
         phases["simulate"] = time.perf_counter() - mark
         wall_s = time.perf_counter() - start
         if store is not None:
@@ -222,7 +216,6 @@ def _pool_entry(
     worker: Callable,
     job: JobSpec,
     cache_dir: str | None,
-    checkpoint_every: int,
     started_beacon: str | None = None,
 ):
     """Pool-side wrapper: touch the start beacon, then run the worker.
@@ -241,7 +234,7 @@ def _pool_entry(
             open(started_beacon, "w").close()
         except OSError:
             pass  # parent falls back to charging the attempt
-    return worker(job, cache_dir, checkpoint_every)
+    return worker(job, cache_dir)
 
 
 def _worker_init() -> None:
@@ -276,7 +269,6 @@ class Farm:
         use_cache: bool = True,
         retries: int = 2,
         timeout: float | None = None,
-        checkpoint_every: int = 1,
         strict: bool = True,
         shard_frames: int | None = None,
     ):
@@ -291,7 +283,6 @@ class Farm:
         self.use_cache = use_cache
         self.retries = max(1, int(retries))
         self.timeout = timeout
-        self.checkpoint_every = checkpoint_every
         self.telemetry = FarmTelemetry()
         self.strict = strict
         #: ``None`` = shard automatically when the batch under-subscribes
@@ -608,7 +599,7 @@ class Farm:
             start = time.perf_counter()
             attempts[job] = attempts.get(job, 0) + 1
             try:
-                outcome = worker(job, self.cache_dir, self.checkpoint_every)
+                outcome = worker(job, self.cache_dir)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
@@ -668,7 +659,6 @@ class Farm:
                             worker,
                             job,
                             self.cache_dir,
-                            self.checkpoint_every,
                             beacons.get(job),
                         )
                     ] = job

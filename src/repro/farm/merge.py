@@ -20,9 +20,9 @@ results themselves, which makes the merge a pure function of its inputs:
 it is associative (merging merged halves equals merging all slices) and
 order-invariant (slices may arrive in any order), properties
 ``tests/test_merge.py`` checks directly.  Inputs are never mutated.
-Frame shards are the farm's one per-frame result unit; in-slice
-checkpoints (:mod:`repro.farm.checkpoint`) only resume an interrupted
-slice.
+Frame shards are the farm's one per-frame result unit: an in-slice
+checkpoint (:mod:`repro.farm.checkpoint`) is the result of the frames a
+slice finished, and its resume merges it with the rest of the slice.
 """
 
 from __future__ import annotations
@@ -75,8 +75,12 @@ def merge_simulations(parts: Sequence[SimulationResult]) -> SimulationResult:
     # The last slice's cache state *is* the serial end state (each frame
     # starts from dropped contents); only the whole-run counters need the
     # other slices' contributions.  Copy before patching — inputs stay
-    # untouched so a part can participate in several merges.
-    caches = copy.deepcopy(ordered[-1].caches)
+    # untouched so a part can participate in several merges.  Each cache
+    # keeps sharing its (frozen) config with the result's GpuConfig, as in
+    # a serial run, so merged fresh slices pickle to the serial bytes.
+    last = ordered[-1]
+    shared = {id(c.config): c.config for c in last.caches.values()}
+    caches = copy.deepcopy(last.caches, shared)
     for name, cache in caches.items():
         cache.hits = sum(p.caches[name].hits for p in ordered)
         cache.misses = sum(p.caches[name].misses for p in ordered)
@@ -87,7 +91,7 @@ def merge_simulations(parts: Sequence[SimulationResult]) -> SimulationResult:
         frame_stats=frame_stats,
         memory=memory,
         caches=caches,
-        config=first.config,
+        config=last.config,
         images=[image for part in ordered for image in part.images],
     )
 

@@ -4,7 +4,8 @@ Layout under the cache root (``.repro-cache/`` by default,
 ``REPRO_CACHE_DIR`` override)::
 
     artifacts/<key>.pkl        WorkloadApiStats / SimulationResult
-    checkpoints/<key>.ckpt     mid-run simulator state (sim jobs)
+    checkpoints/<key>.ckpt     SimulationResult of a sim/geometry job's
+                               finished frames, while it runs
     traces/<tkey>.pkl          generated API trace, shared by every job and
                                frame shard that replays the same timedemo
     quarantine/                damaged files moved aside, never reused
@@ -334,10 +335,10 @@ class ArtifactStore:
 
     # -- checkpoints ----------------------------------------------------
     def load_checkpoint(self, job: JobSpec) -> Any | None:
-        """The checkpointed simulator for ``job``, or ``None``.
+        """The result of ``job``'s finished frames, or ``None``.
 
         A corrupt checkpoint is quarantined and the caller restarts from
-        frame zero (which is always correct, just slower).
+        the job's first frame (which is always correct, just slower).
         """
         return self.read_entry(
             self.checkpoint_path(job), _unpickle, f"checkpoint for {job.describe()}"

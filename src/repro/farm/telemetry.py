@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.observe import metrics as obs_metrics
 from repro.observe import spans as obs_spans
-from repro.observe.metrics import MetricsRegistry
 
 #: Registry namespace for phase wall-time counters (seconds).
 PHASE_PREFIX = "farm.phase."
@@ -39,11 +38,8 @@ class FarmTelemetry:
 
     records: list[JobRecord] = field(default_factory=list)
     failures: list[FailureRecord] = field(default_factory=list)
-    #: Phase accounting lives in a metrics registry of its own, so
-    #: concurrent Farms never collide.
-    registry: MetricsRegistry = field(
-        default_factory=MetricsRegistry, init=False
-    )
+    #: ``{phase: seconds}``, in the order the phases first ran.
+    phases: dict[str, float] = field(default_factory=dict, init=False)
 
     def add_phase(self, phase: str, seconds: float) -> None:
         """Accumulate seconds for an execution phase: ``spawn`` (pool
@@ -51,19 +47,11 @@ class FarmTelemetry:
         resolution: worker cache, trace store or generation), ``simulate``
         (pipeline work), ``harvest`` (validation), ``merge``
         (shard assembly)."""
-        self.registry.counter(PHASE_PREFIX + phase).inc(seconds)
+        self.phases[phase] = self.phases.get(phase, 0.0) + seconds
         # While tracing, mirror into the process-wide registry so span
         # exports and metric dumps carry the phase totals too.
         if obs_spans.enabled():
             obs_metrics.registry().counter(PHASE_PREFIX + phase).inc(seconds)
-
-    @property
-    def phases(self) -> dict[str, float]:
-        """``{phase: seconds}`` view over the registry (sorted by name)."""
-        return {
-            name[len(PHASE_PREFIX):]: metric.value
-            for name, metric in self.registry.items(PHASE_PREFIX)
-        }
 
     def record(
         self,

@@ -48,10 +48,9 @@ class Mesh:
     ``index_size_bytes`` is 2 or 4 and, per the paper, is constant per
     middleware (Unreal/Source/Lithtech use 16-bit indices, idTech4 32-bit).
 
-    Normals a caller supplies are validated here and pickled with the
-    mesh.  Without them, :attr:`normals` derives area-weighted vertex
-    normals on first read and memoizes them; derived normals stay out of
-    pickles.  Only lit vertex shading reads normals, so API and
+    Normals a caller supplies are validated here.  Without them,
+    :attr:`normals` derives area-weighted vertex normals on first read and
+    memoizes them.  Only lit vertex shading reads normals, so API and
     geometry-only runs never compute them.
     """
 
@@ -79,7 +78,6 @@ class Mesh:
         n = self.vertex_count
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
             raise ValueError(f"{self.name}: indices out of range [0, {n})")
-        self._normals_given = normals is not None
         if normals is not None:
             self.normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
         if uvs is None:
@@ -111,12 +109,6 @@ class Mesh:
         lengths = np.linalg.norm(normals, axis=1, keepdims=True)
         lengths[lengths == 0.0] = 1.0
         return normals / lengths
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        if not self._normals_given:
-            state.pop("normals", None)  # derived: recomputed on first read
-        return state
 
     @property
     def vertex_count(self) -> int:

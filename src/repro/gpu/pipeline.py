@@ -102,7 +102,7 @@ class GpuSimulator:
     # -- public API -----------------------------------------------------
     @property
     def frames_completed(self) -> int:
-        """Frames fully simulated so far (the resume point)."""
+        """Frames fully simulated so far."""
         return len(self.frame_stats)
 
     def run_trace(
@@ -111,7 +111,6 @@ class GpuSimulator:
         max_frames: int | None = None,
         fragment_stages: bool = True,
         keep_images: int = 0,
-        resume: bool = False,
         on_frame=None,
         start_frame: int = 0,
     ) -> SimulationResult:
@@ -131,29 +130,14 @@ class GpuSimulator:
         state behind beyond the render state the fast-forward replays, so a
         shard's frames are bit-identical to the same frames of a serial run
         (``max_frames`` still counts *simulated* frames, i.e. the shard
-        length).
-
-        ``resume=True`` skips the first ``start_frame`` +
-        :attr:`frames_completed` frames of the trace outright, continuing a
-        simulator restored from a checkpoint: all pipeline state
-        (framebuffer, caches, statistics, state machine) for the skipped
-        frames is already present, so the merged result is identical to an
-        uninterrupted run.  ``on_frame(sim, n)`` is invoked after each
-        completed frame — the farm's checkpoint hook.
+        length).  ``on_frame(sim, n)`` is invoked after each completed
+        frame — the farm's checkpoint hook.
         """
         images: list[np.ndarray] = []
-        if resume:  # checkpointed state already covers the fast-forward
-            skip = start_frame + self.frames_completed
-            forward = 0
-        else:
-            skip = 0
-            forward = start_frame
+        forward = start_frame
         run_span = obs_spans.span("gpu.run", "gpu")
         try:
             for frame in trace.frames():
-                if skip > 0:
-                    skip -= 1
-                    continue
                 if forward > 0:
                     forward -= 1
                     self._fast_forward(frame)
@@ -189,8 +173,7 @@ class GpuSimulator:
     def result(self, images: list[np.ndarray] | None = None) -> SimulationResult:
         """Merge the accumulated pipeline state into a SimulationResult.
 
-        Valid at any frame boundary, which is what lets a checkpointed run
-        hand back a result without re-walking the trace.
+        Valid at any frame boundary, which is what a checkpoint saves.
         """
         return SimulationResult(
             stats=self.stats,

@@ -64,8 +64,7 @@ class TextureResource:
     The first texel read renders the base level and box-filters the chain
     into one contiguous float32 ``(texels, 4)`` buffer, :attr:`texels`
     (level after level, each row-major); :attr:`mips` are ``(h, w, 4)``
-    views into it.  Texels are derived: they stay out of pickles and are
-    rendered again after unpickling.
+    views into it.
     """
 
     def __init__(
@@ -145,12 +144,6 @@ class TextureResource:
     def mips(self) -> list[np.ndarray]:
         """Each level as an ``(h, w, 4)`` view into :attr:`texels`."""
         return self._level_views(self.texels)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("texels", None)  # derived: rendered again on first read
-        state.pop("mips", None)
-        return state
 
     def mip_block_offsets(self) -> list[int]:
         """Byte offset of each mip level (in compressed blocks, Morton laid)."""

@@ -45,9 +45,11 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import ReproServer, ServeConfig, ServerThread
 from repro.util.tables import format_table
 
-#: The job every recovery scenario must reproduce bit-identically: a real
-#: 2-frame simulation — long enough that ``kill -9`` lands mid-run.
+#: A real simulation every recovery scenario must reproduce bit-identically.
 SIM_SPEC = ("sim", WORKLOAD, 2)
+#: The ``kill -9`` job: its checkpoint lives for three of its four frames,
+#: so the kill lands after one and the restart resumes from it.
+KILL9_SPEC = ("sim", WORKLOAD, 4)
 #: Fast job for liveness scenarios (WS resume, degraded mode).
 API_SPEC = ("api", WORKLOAD, 2)
 
@@ -68,7 +70,7 @@ class _ServeContext:
         store = ArtifactStore(root / "reference")
         farm = Farm(store=store, jobs=1)
         self.reference_sha: dict[tuple, str] = {}
-        for spec_args in (SIM_SPEC, API_SPEC):
+        for spec_args in (SIM_SPEC, KILL9_SPEC, API_SPEC):
             kind, workload, frames = spec_args
             job = (sim_job if kind == "sim" else api_job)(workload, frames)
             farm.run_one(job)
@@ -151,18 +153,23 @@ def _served_sha(client: ServeClient, key: str) -> str:
 
 
 def _kill9_recovery(ctx: _ServeContext) -> str:
-    """SIGKILL mid-job; the restarted server recovers from the journal."""
+    """SIGKILL after a checkpoint; the restarted server recovers the job
+    from the journal and resumes it from that checkpoint."""
     cache = ctx.root / "kill9-cache"
+    store = ArtifactStore(cache)
+    job = sim_job(*KILL9_SPEC[1:])
     proc, port = _spawn_server(cache)
     key = None
     try:
         client = ServeClient(port=port, client_id="chaos")
         client.wait_ready(60)
-        key = client.submit(*SIM_SPEC)["job"]
+        key = client.submit(*KILL9_SPEC)["job"]
         deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if client.status(key)["state"] in ("running", "done"):
-                break
+        while not store.checkpoint_path(job).exists():
+            if client.status(key)["state"] == "done":
+                raise ChaosFailure("job finished before any checkpoint")
+            if time.monotonic() > deadline:
+                raise ChaosFailure("no checkpoint appeared within 120 s")
             time.sleep(0.02)
     finally:
         with contextlib.suppress(OSError):
@@ -171,6 +178,9 @@ def _kill9_recovery(ctx: _ServeContext) -> str:
             proc.wait(timeout=30)
     if key is None:
         raise ChaosFailure("submission never reached the first server")
+    done = store.load_checkpoint(job)
+    if done is None:
+        raise ChaosFailure("no checkpoint survived the kill")
     proc2, port2 = _spawn_server(cache)
     try:
         client = ServeClient(port=port2, client_id="chaos")
@@ -187,10 +197,12 @@ def _kill9_recovery(ctx: _ServeContext) -> str:
                 f"recovered job ended {final['state']!r}: {final.get('error')}"
             )
         sha = _served_sha(client, key)
-        if sha != ctx.reference_sha[SIM_SPEC]:
+        if sha != ctx.reference_sha[KILL9_SPEC]:
             raise ChaosFailure(
                 "recovered result differs from the uninterrupted reference"
             )
+        if store.checkpoint_path(job).exists():
+            raise ChaosFailure("the finished job left its checkpoint behind")
         client.shutdown()
         with contextlib.suppress(subprocess.TimeoutExpired):
             proc2.wait(timeout=60)
@@ -198,8 +210,12 @@ def _kill9_recovery(ctx: _ServeContext) -> str:
         with contextlib.suppress(OSError):
             os.kill(proc2.pid, signal.SIGKILL)
         ctx.collect("kill9-recovery", cache)
-    verb = "requeued" if stats["recovered_requeued"] else "served from cache"
-    return f"killed mid-job; restart {verb}, result bit-identical"
+    if not stats["recovered_requeued"]:
+        raise ChaosFailure("restart served the job instead of resuming it")
+    return (
+        f"killed after frame {len(done.frame_stats)} of {job.frames}; "
+        "restart resumed from its checkpoint, result bit-identical"
+    )
 
 
 def _ws_resume(ctx: _ServeContext) -> str:

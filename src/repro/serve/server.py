@@ -266,7 +266,7 @@ class ReproServer:
         return self._server.sockets[0].getsockname()[1]
 
     def _new_farm(self) -> Farm:
-        return Farm(store=self.store, jobs=1, checkpoint_every=0)
+        return Farm(store=self.store, jobs=1)
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()

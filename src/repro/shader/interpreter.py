@@ -43,23 +43,12 @@ class ShaderInterpreter:
     """Executes shader programs over vectors of elements.
 
     Compiled plans are cached on the instance, one per program, requested
-    outputs and set of supplied input and constant registers.  They are
-    derived state and hold the opcode callables, so pickling drops them
-    (checkpoints pickle the whole simulator, interpreters included).
+    outputs and set of supplied input and constant registers.
     """
 
     def __init__(self, sampler: SamplerCallback | None = None):
         self._sampler = sampler
         self._plans: dict[tuple, _Plan] = {}
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_plans"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._plans = {}
 
     def run(
         self,

@@ -5,8 +5,9 @@ Covers the subsystem's five load-bearing guarantees:
 * parallel N-worker runs are bit-identical to serial runs;
 * artifacts round-trip through the store (store → load == fresh compute);
 * cache keys invalidate on seed / config / frame-budget / kind changes;
-* an interrupted simulation resumes from its last checkpointed frame and
-  finishes with results identical to an uninterrupted run;
+* an interrupted simulation resumes from its last checkpointed frame, a
+  result of the finished frames, and finishes with an artifact
+  byte-identical to an uninterrupted run's;
 * a crashed or hung worker is retried and the batch still completes.
 """
 
@@ -33,7 +34,7 @@ from repro.farm import (
 )
 from repro.farm.checkpoint import run_checkpointed
 from repro.gpu.config import GpuConfig
-from repro.workloads import build_workload
+from repro.gpu.pipeline import SimulationResult
 
 WORKLOAD = "UT2004/Primeval"
 OTHER = "Doom3/trdemo2"
@@ -273,22 +274,6 @@ class TestWorkloadBuilds:
         textures = {t.name for t in build_job_workload(job).textures}
         assert sampled < textures
 
-    @pytest.mark.parametrize("name", [WORKLOAD, OTHER, "Quake4/demo4"])
-    def test_pickled_simulator_holds_no_texels_or_derived_normals(self, name):
-        workload = build_workload(name, sim=True)
-        sim = workload.simulator()
-        for mesh in workload.meshes.values():
-            mesh.normals
-        for texture in workload.textures:
-            texture.mips
-        blob = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
-        assert len(blob) <= 5_000_000
-        clone = pickle.loads(blob)
-        for texture in clone.texture_unit._resources.values():
-            assert "texels" not in vars(texture) and "mips" not in vars(texture)
-        for mesh in clone.meshes.values():
-            assert "normals" not in vars(mesh)
-
 
 # -- checkpoint / resume ----------------------------------------------------
 
@@ -304,6 +289,21 @@ class _InterruptAfter:
         self.seen.append(frames_done)
         if frames_done >= self.frames:
             raise KeyboardInterrupt
+
+
+def _artifact_bytes(result) -> bytes:
+    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _assert_checkpoint_holds(store, job, frames: int) -> None:
+    """The checkpoint is the result of exactly ``job``'s first ``frames``."""
+    assert store.checkpoint_path(job).stat().st_size < 16 * 1024
+    done = store.load_checkpoint(job)
+    assert isinstance(done, SimulationResult)
+    first = job.frame_offset
+    assert [fs.frame for fs in done.frame_stats] == list(
+        range(first, first + frames)
+    )
 
 
 class TestCheckpointResume:
@@ -326,19 +326,54 @@ class TestCheckpointResume:
         assert resumed.memory == fresh.memory
 
     def test_completed_checkpoint_short_circuits(self, tmp_path):
-        from repro.farm.checkpoint import build_job_workload
-
         job = sim_job(WORKLOAD, 2)
         store = ArtifactStore(tmp_path)
-        workload = build_job_workload(job)
-        sim = workload.simulator(job.config)
-        full = sim.run_trace(workload.trace(frames=2), max_frames=2)
-        store.save_checkpoint(job, sim)
+        full = run_checkpointed(job, None)
+        store.save_checkpoint(job, full)
         # All frames already done: finishing must not simulate anything.
         tracker = _InterruptAfter(10**9)
         result = run_checkpointed(job, store, on_frame=tracker)
         assert tracker.seen == []
         assert result.stats == full.stats
+        assert not store.checkpoint_path(job).exists()
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            sim_job(WORKLOAD, 3),
+            geometry_job(OTHER, 4),
+            sim_job("Quake4/demo4", 4).shard(2)[1],
+        ],
+        ids=lambda job: job.describe(),
+    )
+    def test_resumed_run_pickles_to_the_uninterrupted_bytes(self, tmp_path, job):
+        """At every interrupt point the checkpoint is the result of exactly
+        the finished frames, a few KB, and the resumed run's artifact is
+        the uninterrupted run's, byte for byte."""
+        expected = _artifact_bytes(run_checkpointed(job, None))
+        for stop in range(1, job.frames):
+            store = ArtifactStore(tmp_path / f"stop-{stop}")
+            with pytest.raises(KeyboardInterrupt):
+                run_checkpointed(job, store, on_frame=_InterruptAfter(stop))
+            _assert_checkpoint_holds(store, job, stop)
+            assert _artifact_bytes(run_checkpointed(job, store)) == expected
+            assert not store.checkpoint_path(job).exists()
+
+    def test_resume_of_a_resumed_run_is_exact(self, tmp_path):
+        """A resumed run checkpoints the merge of what it restored and what
+        it ran; interrupting it again, frame after frame, still ends on the
+        uninterrupted bytes."""
+        job = geometry_job(OTHER, 4)
+        expected = _artifact_bytes(run_checkpointed(job, None))
+        store = ArtifactStore(tmp_path)
+        for stop in range(1, job.frames):
+            with pytest.raises(KeyboardInterrupt):
+                run_checkpointed(job, store, on_frame=_InterruptAfter(stop))
+            _assert_checkpoint_holds(store, job, stop)
+        tracker = _InterruptAfter(10**9)
+        resumed = run_checkpointed(job, store, on_frame=tracker)
+        assert tracker.seen == [job.frames]
+        assert _artifact_bytes(resumed) == expected
 
     def test_checkpoint_key_isolation(self, tmp_path):
         """A checkpoint for one budget is never resumed for another."""
@@ -353,7 +388,7 @@ class TestCheckpointResume:
 # -- worker crash / hang recovery -------------------------------------------
 
 
-def _crash_once_worker(job, cache_dir, checkpoint_every):
+def _crash_once_worker(job, cache_dir):
     marker = pathlib.Path(cache_dir) / f"crashed-{job.key()}"
     if not marker.exists():
         marker.write_text("x")
@@ -361,7 +396,7 @@ def _crash_once_worker(job, cache_dir, checkpoint_every):
     return f"recovered:{job.workload}"
 
 
-def _hang_once_worker(job, cache_dir, checkpoint_every):
+def _hang_once_worker(job, cache_dir):
     marker = pathlib.Path(cache_dir) / f"hung-{job.key()}"
     if not marker.exists():
         marker.write_text("x")
@@ -369,7 +404,7 @@ def _hang_once_worker(job, cache_dir, checkpoint_every):
     return f"recovered:{job.workload}"
 
 
-def _always_raises_worker(job, cache_dir, checkpoint_every):
+def _always_raises_worker(job, cache_dir):
     raise ValueError("deterministic failure")
 
 

@@ -19,7 +19,9 @@ fault-free reference batch.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 import time
 import types
 
@@ -37,6 +39,7 @@ from repro.farm import (
     validate_result,
 )
 from repro.farm import chaos, faults
+from repro.farm.checkpoint import run_checkpointed
 from repro.farm.store import write_sealed
 
 WORKLOAD = "UT2004/Primeval"
@@ -371,16 +374,40 @@ def test_corrupt_shard_artifact_is_a_cache_miss_not_a_retry(chaos_ctx):
     assert [p.name for p in farm.store.quarantined_files()] == [path.name]
 
 
+def test_worker_crash_resumes_to_the_uninterrupted_artifact(chaos_ctx):
+    """A pool worker killed at frame 1 of ``CKPT_JOB`` leaves a one-frame
+    checkpoint; the retry resumes from it, and the artifact it stores is
+    the uninterrupted run's, byte for byte.  The API job beside it keeps
+    the batch at two units, so the plan runs ``CKPT_JOB`` whole on the
+    pool at any core count."""
+    ctx = chaos_ctx("crash-resume")
+    job = chaos.CKPT_JOB
+    batch = [job, api_job(OTHER, 2)]
+    farm = ctx.farm("crash-resume")
+    plan = ctx.plan(FaultSpec("crash", match="sim", times=1, frame=1))
+    with faults.injected(plan):
+        recovered = farm.run(batch)
+    assert farm.telemetry.retries >= 1
+    chaos._check_match(ctx.reference, recovered, batch)
+    uninterrupted = pickle.dumps(
+        run_checkpointed(job, None), protocol=pickle.HIGHEST_PROTOCOL
+    )
+    assert farm.store._read_meta(job)["sha256"] == (
+        hashlib.sha256(uninterrupted).hexdigest()
+    )
+    assert not farm.store.checkpoints()
+
+
 # -- graceful degradation and scheduling fixes -------------------------------
 
 
-def _fails_for_doom(job, cache_dir, checkpoint_every):
+def _fails_for_doom(job, cache_dir):
     if "Doom3" in job.workload:
         raise ValueError("doom jobs always fail")
     return f"ok:{job.workload}"
 
 
-def _sleeps_briefly(job, cache_dir, checkpoint_every):
+def _sleeps_briefly(job, cache_dir):
     time.sleep(0.6)
     return f"slept:{job.key()}"
 

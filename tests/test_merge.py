@@ -17,6 +17,7 @@ The farm's scaling story rests on three claims, each tested here:
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 
@@ -95,19 +96,25 @@ def api_split():
     return serial, parts
 
 
-# -- bit-identity on every engine -------------------------------------------
-
-
-@pytest.mark.parametrize("name", ENGINES)
-def test_sharded_simulation_is_bit_identical(name):
-    """Shard-and-merge equals serial: stats, quad fates, caches, images."""
-    job = sim_job(name, 2)
+@pytest.fixture(scope="module", params=ENGINES, ids=ENGINES)
+def engine_split(request):
+    """One engine's serial 2-frame sim and its merged 1-frame shards."""
+    job = sim_job(request.param, 2)
     workload = build_job_workload(job)
     trace = workload.trace(frames=2).materialize()
     serial = workload.simulator(job.config).run_trace(
         trace, max_frames=2, keep_images=2
     )
     merged = merge_results(_simulate_shards(job, trace, keep_images=True))
+    return serial, merged
+
+
+# -- bit-identity on every engine -------------------------------------------
+
+
+def test_sharded_simulation_is_bit_identical(engine_split):
+    """Shard-and-merge equals serial: stats, quad fates, caches, images."""
+    serial, merged = engine_split
     assert results_equal(serial, merged)
     assert merged.stats == serial.stats
     assert merged.stats.quad_fates == serial.stats.quad_fates
@@ -118,6 +125,16 @@ def test_sharded_simulation_is_bit_identical(name):
             cache.misses,
             cache.accesses,
         )
+
+
+def test_merged_simulation_pickles_to_the_serial_bytes(engine_split):
+    """The merged artifact is the serial artifact, byte for byte: each
+    merged cache shares its config with the result's, as a serial run's
+    does, so no config is pickled twice."""
+    serial, merged = engine_split
+    assert pickle.dumps(merged, protocol=pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+        serial, protocol=pickle.HIGHEST_PROTOCOL
+    )
 
 
 def test_sharded_api_stats_are_bit_identical(api_split):
@@ -285,7 +302,7 @@ def test_plan_respects_shard_overrides(tmp_path, four_cores):
 
 
 def test_plan_never_shards_custom_workers(tmp_path):
-    def custom(job, cache_dir, checkpoint_every):  # pragma: no cover
+    def custom(job, cache_dir):  # pragma: no cover
         raise NotImplementedError
 
     farm = Farm(store=ArtifactStore(tmp_path), jobs=4)

@@ -293,14 +293,15 @@ def test_absorb_merges_track_and_metrics():
     assert metrics.registry().counter("observe.tracks_merged").value == 1
 
 
-# -- telemetry on the registry ---------------------------------------------
-def test_farm_telemetry_phases_backed_by_registry():
+# -- telemetry phases ------------------------------------------------------
+def test_farm_telemetry_phases_are_a_plain_dict():
     telemetry = FarmTelemetry()
     telemetry.add_phase("trace", 0.5)
     telemetry.add_phase("trace", 0.25)
     telemetry.add_phase("merge", 1.0)
     assert telemetry.phases == {"merge": 1.0, "trace": 0.75}
-    assert telemetry.registry.counter("farm.phase.trace").value == 0.75
+    assert type(telemetry.phases) is dict
+    assert not hasattr(telemetry, "registry")
     line = telemetry.summary_line()
     assert "[merge 1.00s trace 0.75s]" in line
 

@@ -173,8 +173,8 @@ def test_facade_exports():
 def test_runner_simulation_shim_removed():
     """The 1.x ``Runner.simulation`` deprecation shim is gone since 2.0;
     3.0 removed the fused path's two ``GpuConfig`` fields, 4.0 the
-    ``characterize`` entry points, 5.0 ``TextureResource(name, mips)`` and
-    6.0 ``ServeConfig.shard_frames``."""
+    ``characterize`` entry points, 5.0 ``TextureResource(name, mips)``,
+    6.0 ``ServeConfig.shard_frames`` and 7.0 ``checkpoint_every``."""
     from repro.experiments.runner import ExperimentConfig, Runner
 
     runner = Runner(ExperimentConfig(sim_frames=1))
@@ -183,4 +183,4 @@ def test_runner_simulation_shim_removed():
     assert not hasattr(repro, "characterize")
     fields = {field.name for field in dataclasses.fields(repro.GpuConfig)}
     assert not fields & {"fused", "threads"}
-    assert repro.__version__.split(".")[0] == "6"
+    assert repro.__version__.split(".")[0] == "7"

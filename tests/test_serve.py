@@ -59,7 +59,7 @@ class TestSubmitAndDedupe:
         runs = []
         lock = threading.Lock()
 
-        def worker(job, cache_dir, checkpoint_every):
+        def worker(job, cache_dir):
             with lock:
                 runs.append(job.key())
             time.sleep(0.1)
@@ -84,7 +84,7 @@ class TestSubmitAndDedupe:
             thread.stop()
 
     def test_distinct_specs_are_distinct_jobs(self, tmp_path):
-        def worker(job, cache_dir, checkpoint_every):
+        def worker(job, cache_dir):
             return {"seed": job.seed}
 
         thread, client = _server(tmp_path, worker)
@@ -127,7 +127,7 @@ class TestEventStream:
     def test_ws_events_match_span_sequence(self, tmp_path):
         """The WS stream replays the job's spans in publication order."""
 
-        def worker(job, cache_dir, checkpoint_every):
+        def worker(job, cache_dir):
             obs_spans.enable(track="stub", env=False)
             try:
                 with obs_spans.span("alpha"):
@@ -179,7 +179,7 @@ class TestBackpressure:
     def test_429_when_client_queue_is_full(self, tmp_path):
         release = threading.Event()
 
-        def worker(job, cache_dir, checkpoint_every):
+        def worker(job, cache_dir):
             release.wait(timeout=60)
             return {"ok": True}
 
@@ -207,7 +207,7 @@ class TestFairScheduling:
         order = []
         lock = threading.Lock()
 
-        def worker(job, cache_dir, checkpoint_every):
+        def worker(job, cache_dir):
             if job.seed == 99:
                 release.wait(timeout=60)
             with lock:
@@ -245,7 +245,7 @@ class TestGracefulShutdown:
     def test_drain_finishes_running_and_cancels_queued(self, tmp_path):
         release = threading.Event()
 
-        def worker(job, cache_dir, checkpoint_every):
+        def worker(job, cache_dir):
             release.wait(timeout=60)
             return {"ok": True}
 
@@ -294,7 +294,7 @@ class TestServedBitIdentity:
             thread.stop()
 
         direct_store = ArtifactStore(tmp_path / "direct")
-        with Farm(store=direct_store, jobs=1, checkpoint_every=0) as farm:
+        with Farm(store=direct_store, jobs=1) as farm:
             farm.run_one(spec)
         _, payload = unseal(direct_store.artifact_path(spec).read_bytes())
         direct = bytes(payload)

@@ -75,7 +75,7 @@ class TestJournalRecovery:
         wedge = threading.Event()
         cache = str(tmp_path / "cache")
 
-        def wedged_worker(job, cache_dir, checkpoint_every):
+        def wedged_worker(job, cache_dir):
             wedge.wait(timeout=60)
             return {"ok": True}
 
@@ -135,7 +135,7 @@ class TestDeadlines:
         release = threading.Event()
         runs = []
 
-        def worker(job, cache_dir, checkpoint_every):
+        def worker(job, cache_dir):
             runs.append(job.seed)
             release.wait(timeout=60)
             return {"ok": True}
@@ -164,7 +164,7 @@ class TestDeadlines:
     def test_deadline_enforced_while_running(self, tmp_path):
         release = threading.Event()
 
-        def worker(job, cache_dir, checkpoint_every):
+        def worker(job, cache_dir):
             release.wait(timeout=60)
             return {"ok": True}
 
@@ -191,7 +191,7 @@ class TestWatchdog:
     def test_hung_lane_detected_and_restarted(self, tmp_path):
         hang = threading.Event()
 
-        def worker(job, cache_dir, checkpoint_every):
+        def worker(job, cache_dir):
             if job.seed == 1:
                 # No spans while blocked: the heartbeat goes stale.
                 hang.wait(timeout=60)
@@ -312,7 +312,7 @@ class TestClientRetry:
     def test_draining_503_without_hint_is_not_retried(self, tmp_path):
         release = threading.Event()
 
-        def worker(job, cache_dir, checkpoint_every):
+        def worker(job, cache_dir):
             release.wait(timeout=60)
             return {"ok": True}
 
