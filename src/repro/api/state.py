@@ -7,7 +7,7 @@ shader uniforms.  ``SetState`` names map 1:1 to :class:`RenderState` fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,6 +81,9 @@ class RenderState:
         return None
 
 
+_STATE_FIELDS = frozenset(f.name for f in fields(RenderState))
+
+
 class StateMachine:
     """Applies API calls to a :class:`RenderState` and collects uniforms."""
 
@@ -96,27 +99,37 @@ class StateMachine:
         elif isinstance(call, (Draw, UploadResource, Clear)):
             pass  # resource/clear handling is the pipeline's job
         elif isinstance(call, BindProgram):
-            key = f"{call.stage}_program"
-            self.state = replace(self.state, **{key: call.program})
+            self._set(f"{call.stage}_program", call.program)
         elif isinstance(call, BindTexture):
             if call.texture is None:
                 self._textures.pop(call.unit, None)
             else:
                 self._textures[call.unit] = call.texture
-            self.state = replace(
-                self.state, textures=tuple(sorted(self._textures.items()))
-            )
+            self._set("textures", tuple(sorted(self._textures.items())))
         elif isinstance(call, SetState):
-            if not hasattr(self.state, call.name):
-                raise ValueError(f"unknown render state {call.name!r}")
             value = call.value
             if call.name in ("stencil_front", "stencil_back") and isinstance(
                 value, (tuple, list)
             ):
                 value = StencilSide(*value)
-            self.state = replace(self.state, **{call.name: value})
+            self._set(call.name, value)
         else:
             raise TypeError(f"unknown call type {type(call).__name__}")
+
+    def _set(self, name: str, value) -> None:
+        """Replace one field of the state, as ``dataclasses.replace`` does.
+
+        Copies the instance dict instead of calling ``__init__`` with every
+        field, then reruns ``__post_init__``, so each check still runs and
+        a rejected value leaves the state as it was.
+        """
+        if name not in _STATE_FIELDS:
+            raise ValueError(f"unknown render state {name!r}")
+        state = object.__new__(RenderState)
+        state.__dict__.update(self.state.__dict__)
+        state.__dict__[name] = value
+        state.__post_init__()
+        self.state = state
 
     def uniform_matrix(self, name: str) -> np.ndarray | None:
         value = self.uniforms.get(name)

@@ -774,6 +774,147 @@ void colorpass(const i64 *xs, const i64 *ys, const double *colors,
     counts[3] = rbytes;
     counts[4] = wbytes;
 }
+
+/* One draw's early- or late-Z stage (ZStencilStage.test_write) over the
+   stream's triangle groups (runs of equal tri), in submission order: the
+   per-triangle reference's order.  A quad reads and writes only its own
+   block, so per group each quad is HZ-culled against the state from
+   before the triangle, tested and written, and the group's blocks are
+   refreshed after its last quad, as update_hz_quads and
+   note_stencil_write do after each triangle.  p[]: depth_test,
+   depth_func (never, less, lequal, equal, always), depth_write,
+   stencil_test, stencil_func (always, equal, notequal, never),
+   stencil_ref, stencil_write, front then back sfail/zfail/zpass (keep,
+   zero, replace, incr_wrap, decr_wrap), hz_on, hz_minmax, hz_stencil.
+   The HZ cull reads cover lanes, with NaN sticky in the quad's z extremes
+   as in numpy's where(cover, z, +-inf) reductions; tests, writes and
+   counts read alive lanes.  Wraps match numpy's int16 % 256.  Every
+   output is written: pass_mask (4 per quad), wrote and entered (1 per
+   quad), counts = HZ-culled quads, then the fragments, quads and
+   complete quads that entered.  counts[0] = -1 when scratch allocation
+   fails, with the planes untouched. */
+void zstencilpass(const i64 *qx, const i64 *qy, const i64 *tri, i64 n,
+                  const uint8_t *cover, const uint8_t *alive,
+                  const double *z, const uint8_t *front, const i64 *p,
+                  double *fbz, int16_t *stencil, i64 zw,
+                  double *hz_max, double *hz_min,
+                  int16_t *hzs_min, int16_t *hzs_max,
+                  i64 block, i64 blocks_x, i64 blocks_y,
+                  uint8_t *pass_mask, uint8_t *wrote, uint8_t *entered,
+                  i64 *counts)
+{
+    static const i64 DX[4] = {0, 1, 0, 1};
+    static const i64 DY[4] = {0, 0, 1, 1};
+    const i64 depth_test = p[0], dfunc = p[1], depth_write = p[2];
+    const i64 stencil_test = p[3], sfunc = p[4], sref = p[5];
+    const int sops = stencil_test && p[6];
+    const int zwrites = depth_test && depth_write;
+    const i64 hz_on = p[13], hz_minmax = p[14], hz_stencil = p[15];
+    /* Per block: 1 = refresh the stencil band, 2 = refresh HZ, at the
+       end of the current group. */
+    uint8_t *mark = calloc((size_t)(blocks_x * blocks_y), 1);
+    if (!mark) { counts[0] = -1; return; }
+    i64 culled_n = 0, frags = 0, quads = 0, complete = 0, g1;
+    for (i64 g0 = 0; g0 < n; g0 = g1) {
+        g1 = g0 + 1;
+        while (g1 < n && tri[g1] == tri[g0]) g1++;
+        for (i64 q = g0; q < g1; q++) {
+            const uint8_t *cov = cover + q * 4, *al = alive + q * 4;
+            const double *zq = z + q * 4;
+            uint8_t *pm = pass_mask + q * 4;
+            i64 b = (qy[q] * 2 / block) * blocks_x + qx[q] * 2 / block;
+            int culled = 0;
+            if (hz_on) {
+                double zmin = INFINITY, zmax = -INFINITY;
+                for (int l = 0; l < 4; l++) {
+                    double lo = cov[l] ? zq[l] : INFINITY;
+                    double hi = cov[l] ? zq[l] : -INFINITY;
+                    if (lo < zmin || lo != lo) zmin = lo;
+                    if (hi > zmax || hi != hi) zmax = hi;
+                }
+                culled = zmin > hz_max[b] || (hz_minmax && zmax < hz_min[b]);
+                if (hz_stencil && sfunc == 1)
+                    culled |= sref < hzs_min[b] || sref > hzs_max[b];
+                else if (hz_stencil && sfunc == 2)
+                    culled |= hzs_min[b] == sref && hzs_max[b] == sref;
+            }
+            entered[q] = (uint8_t)!culled;
+            if (culled) {
+                culled_n++;
+                wrote[q] = 0;
+                memset(pm, 0, 4);
+                continue;
+            }
+            const i64 *ops = p + (front[q] ? 7 : 10);
+            int all4 = 1, changed = 0, zwrote = 0;
+            for (int l = 0; l < 4; l++) {
+                pm[l] = 0;
+                if (!al[l]) { all4 = 0; continue; }
+                frags++;
+                i64 pix = (qy[q] * 2 + DY[l]) * zw + qx[q] * 2 + DX[l];
+                double cz = fbz[pix];
+                i64 cs = stencil[pix];
+                int zp = 1, sp = 1;
+                if (depth_test) {
+                    if (dfunc == 0) zp = 0;
+                    else if (dfunc == 1) zp = zq[l] < cz;
+                    else if (dfunc == 2) zp = zq[l] <= cz;
+                    else if (dfunc == 3) zp = fabs(zq[l] - cz) <= 1e-7;
+                }
+                if (stencil_test) {
+                    if (sfunc == 1) sp = cs == sref;
+                    else if (sfunc == 2) sp = cs != sref;
+                    else if (sfunc == 3) sp = 0;
+                }
+                pm[l] = (uint8_t)(zp && sp);
+                i64 op = sops ? ops[!sp ? 0 : !zp ? 1 : 2] : 0;
+                if (op) {
+                    i64 ns = op == 1 ? 0 : op == 2 ? sref
+                           : (((op == 3 ? cs + 1 : cs - 1) % 256) + 256) % 256;
+                    if ((int16_t)ns != cs) {
+                        stencil[pix] = (int16_t)ns;
+                        changed = 1;
+                    }
+                }
+                if (zwrites && pm[l]) {
+                    fbz[pix] = zq[l];
+                    zwrote = 1;
+                }
+            }
+            quads++;
+            complete += all4;
+            wrote[q] = (uint8_t)(changed || zwrote);
+            if (changed) mark[b] |= 1;
+            if (depth_write && wrote[q]) mark[b] |= 2;
+        }
+        for (i64 q = g0; q < g1; q++) {
+            i64 bx = qx[q] * 2 / block, by = qy[q] * 2 / block;
+            i64 b = by * blocks_x + bx;
+            uint8_t m = mark[b];
+            if (!m) continue;
+            mark[b] = 0;
+            if (m & 1) {
+                const int16_t *sb = stencil + by * block * zw + bx * block;
+                int16_t mn = sb[0], mx = sb[0];
+                for (i64 r = 0; r < block; r++)
+                    for (i64 c = 0; c < block; c++) {
+                        int16_t v = sb[r * zw + c];
+                        if (v < mn) mn = v;
+                        if (v > mx) mx = v;
+                    }
+                hzs_min[b] = mn;
+                hzs_max[b] = mx;
+            }
+            if (m & 2) hz_update(fbz, zw, block, &bx, &by, 1,
+                                 hz_max, hz_min, blocks_x);
+        }
+    }
+    free(mark);
+    counts[0] = culled_n;
+    counts[1] = frags;
+    counts[2] = quads;
+    counts[3] = complete;
+}
 """
 
 _lib: ctypes.CDLL | None = None
@@ -783,6 +924,7 @@ _I64P = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _U8P = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _F64P = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _F32P = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
+_I16P = np.ctypeslib.ndpointer(np.int16, flags="C_CONTIGUOUS")
 
 
 def _cache_dirs() -> list[pathlib.Path]:
@@ -928,6 +1070,16 @@ def _configure(lib: ctypes.CDLL) -> None:
         _I64P, _U8P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64,
         _I64P, _I64P,
+    ]
+    lib.zstencilpass.restype = None
+    lib.zstencilpass.argtypes = [
+        _I64P, _I64P, _I64P, ctypes.c_int64,
+        _U8P, _U8P, _F64P, _U8P, _I64P,
+        _F64P, _I16P, ctypes.c_int64,
+        _F64P, _F64P, _I16P, _I16P,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        _U8P, _U8P, _U8P,
+        _I64P,
     ]
 
 
@@ -1180,3 +1332,44 @@ def colorpass(
     )
     return tuple(int(v) for v in counts)  # type: ignore[return-value]
 
+
+
+def zstencilpass(
+    qx: np.ndarray,
+    qy: np.ndarray,
+    tri: np.ndarray,
+    cover: np.ndarray,
+    alive: np.ndarray,
+    z: np.ndarray,
+    front: np.ndarray,
+    params: np.ndarray,
+    planes: tuple[np.ndarray, ...],
+    block: int,
+    pass_mask: np.ndarray,
+    wrote: np.ndarray,
+    entered: np.ndarray,
+) -> tuple[int, int, int, int]:
+    """Draw-level HZ cull and Z/stencil test and write over triangle groups.
+
+    ``planes`` is ``(z, stencil, hz_max, hz_min, hz_stencil_min,
+    hz_stencil_max)``, all updated in place.  ``cover``/``alive``/``front``
+    and the outputs ``pass_mask``/``wrote``/``entered`` are contiguous bool
+    arrays; every output entry is written.  Returns ``(hz_culled,
+    fragments, quads, complete_quads)``.
+    """
+    counts = np.zeros(4, dtype=np.int64)
+    fbz, stencil, hz_max, hz_min, hzs_min, hzs_max = planes
+    _lib.zstencilpass(
+        qx, qy, tri, qx.shape[0],
+        cover.view(np.uint8), alive.view(np.uint8), z,
+        front.view(np.uint8), params,
+        fbz, stencil, fbz.shape[1],
+        hz_max, hz_min, hzs_min, hzs_max,
+        block, hz_max.shape[1], hz_max.shape[0],
+        pass_mask.view(np.uint8), wrote.view(np.uint8),
+        entered.view(np.uint8),
+        counts,
+    )
+    if counts[0] < 0:
+        raise MemoryError("zstencilpass: block marks not allocated")
+    return tuple(int(v) for v in counts)  # type: ignore[return-value]

@@ -12,6 +12,7 @@ kernel.  Fused stage kernels borrow the LRU contents through
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -78,7 +79,9 @@ class Cache:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        # Interned as default unpickling interns them (see
+        # SimulationResult.__setstate__).
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
         self._miss_buf = np.empty(0, dtype=np.int64)
         self._evict_buf = np.empty(0, dtype=np.int64)
 

@@ -9,6 +9,7 @@ for Table II itself and for the coarse cycle estimator in
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 
@@ -20,6 +21,12 @@ class CacheConfig:
     line_bytes: int
     ways: int
     name: str = ""
+
+    def __setstate__(self, state: dict) -> None:
+        # The name is also a GpuConfig field name and a result's cache key;
+        # see SimulationResult.__setstate__.
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        self.__dict__["name"] = sys.intern(self.name)
 
     def __post_init__(self) -> None:
         if self.size_bytes % (self.line_bytes * self.ways):

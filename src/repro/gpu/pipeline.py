@@ -11,6 +11,7 @@ the flow that produces the paper's Doom3/Quake4 numbers.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ from repro.gpu.rasterizer import (
 from repro.gpu.stats import FrameGpuStats, GpuStats, MemClient, QuadFate
 from repro.gpu.texture import TextureFilter, TextureResource, TextureUnit
 from repro.gpu.vertex import VertexStage
-from repro.gpu.zstencil import ZStencilStage, block_ranks
+from repro.gpu.zstencil import ZStencilStage
 from repro.shader.interpreter import ShaderInterpreter
 from repro.shader.program import ShaderProgram
 
@@ -61,6 +62,15 @@ class SimulationResult:
     caches: dict[str, Cache]
     config: GpuConfig
     images: list[np.ndarray] = field(default_factory=list)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling interns instance-dict keys but no dict key or string
+        # value, so a name shared by a GpuConfig field, a CacheConfig and
+        # ``caches`` would come back as two strings and pickle twice.
+        # Interning them here makes a result that crossed a process pool
+        # pickle to the bytes of a fresh one.
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        self.caches = {sys.intern(k): v for k, v in self.caches.items()}
 
     @property
     def pixels(self) -> int:
@@ -425,19 +435,9 @@ class GpuSimulator:
 
             alive = qb.cover
             if hz_on:
-                z_for_min = np.where(alive, qb.z, np.inf)
-                z_min = z_for_min.min(axis=1)
-                if self.config.hz_min_max and state.depth_func == "equal":
-                    z_for_max = np.where(alive, qb.z, -np.inf)
-                    culled = self.fb.hz_minmax_equal_cull_mask(
-                        qb.qx, qb.qy, z_min, z_for_max.max(axis=1)
-                    )
-                else:
-                    culled = self.fb.hz_cull_mask(qb.qx, qb.qy, z_min)
-                if self.config.hz_stencil and state.stencil_test:
-                    culled = culled | self.fb.hz_stencil_cull_mask(
-                        qb.qx, qb.qy, state.stencil_ref, state.stencil_func
-                    )
+                culled = self.zstencil.hz_cull(
+                    qb.qx, qb.qy, qb.z, alive, state
+                )
                 fstats.count_quad_fates(QuadFate.HZ, int(culled.sum()))
                 if culled.all():
                     continue
@@ -583,9 +583,10 @@ class GpuSimulator:
             # Late Z: HZ state cannot change before shading (updates happen
             # in the Z/stencil stage below), so one cull pass suffices.
             if hz_on:
-                culled = self._hz_cull(
-                    stream.qx, stream.qy, stream.z, stream.cover, state, fstats
+                culled = self.zstencil.hz_cull(
+                    stream.qx, stream.qy, stream.z, stream.cover, state
                 )
+                fstats.count_quad_fates(QuadFate.HZ, int(culled.sum()))
                 if culled.all():
                     return
                 if culled.any():
@@ -596,24 +597,6 @@ class GpuSimulator:
                 stream, live, fp, state, fstats, early_z
             )
 
-    def _hz_cull(self, qx, qy, z, cover, state, fstats: FrameGpuStats):
-        """Hierarchical-Z cull mask for a quad wave (counts HZ quad fates)."""
-        z_for_min = np.where(cover, z, np.inf)
-        z_min = z_for_min.min(axis=1)
-        if self.config.hz_min_max and state.depth_func == "equal":
-            z_for_max = np.where(cover, z, -np.inf)
-            culled = self.fb.hz_minmax_equal_cull_mask(
-                qx, qy, z_min, z_for_max.max(axis=1)
-            )
-        else:
-            culled = self.fb.hz_cull_mask(qx, qy, z_min)
-        if self.config.hz_stencil and state.stencil_test:
-            culled = culled | self.fb.hz_stencil_cull_mask(
-                qx, qy, state.stencil_ref, state.stencil_func
-            )
-        fstats.count_quad_fates(QuadFate.HZ, int(culled.sum()))
-        return culled
-
     def _zstencil_stream(
         self,
         stream: QuadStream,
@@ -622,69 +605,25 @@ class GpuSimulator:
         fstats: FrameGpuStats,
         hz_on: bool,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Rank-ordered Z/stencil over a draw's stream.
+        """A draw's Z/stencil stage: quad fates and cache accounting.
 
-        Returns ``(survivors, pass_mask)`` over the input stream.  When the
-        draw can write depth or stencil, quads are processed in block-rank
-        waves (see :func:`~repro.gpu.zstencil.block_ranks`) so every wave is
-        hazard-free and each framebuffer block sees its triangles in
-        submission order; HZ culling and HZ updates interleave with the
-        waves exactly as the per-triangle path interleaves them per block.
-        Cache accounting is deferred to one original-order pass at the end.
+        :meth:`ZStencilStage.test_write` runs the HZ cull, the tests and
+        writes in the per-triangle order; this books its counts and fates
+        and accounts the entered quads' cache traffic in one original-order
+        pass.  Returns ``(survivors, pass_mask)`` over the input stream.
         """
-        n = stream.quad_count
-        pass_mask = np.zeros((n, 4), dtype=bool)
-        wrote = np.zeros(n, dtype=bool)
-        entered = np.zeros(n, dtype=bool)
-        writes_possible = (state.depth_test and state.depth_write) or (
-            state.stencil_test and state.stencil_write
-        )
-        if writes_possible:
-            bx, by = self.fb.quad_block_coords(stream.qx, stream.qy)
-            ranks = block_ranks(self.fb.block_line_index(bx, by), stream.tri)
-            order = np.argsort(ranks, kind="stable")
-            counts = np.bincount(ranks)
-            bounds = np.concatenate(([0], np.cumsum(counts)))
-            waves = [
-                order[bounds[r] : bounds[r + 1]] for r in range(counts.size)
-            ]
-        else:
-            waves = [np.arange(n)]
-
-        for idx in waves:
-            qx, qy, z = stream.qx[idx], stream.qy[idx], stream.z[idx]
-            wave_alive = alive[idx]
-            if hz_on:
-                culled = self._hz_cull(
-                    qx, qy, z, stream.cover[idx], state, fstats
-                )
-                if culled.all():
-                    continue
-                if culled.any():
-                    keep = ~culled
-                    idx = idx[keep]
-                    qx, qy, z = qx[keep], qy[keep], z[keep]
-                    wave_alive = wave_alive[keep]
-            entered[idx] = True
-            fstats.fragments_zstencil += int(wave_alive.sum())
-            fstats.quads_zstencil += int(idx.size)
-            fstats.complete_quads_zstencil += int(wave_alive.all(axis=1).sum())
-            zres = self.zstencil.test_write(
-                qx, qy, z, stream.front[idx], state, wave_alive
-            )
-            pass_mask[idx] = zres.pass_mask
-            wrote[idx] = zres.wrote
-            if state.depth_write:
-                self.zstencil.update_hz_quads(qx, qy, zres.wrote)
-
+        zres = self.zstencil.test_write(stream, alive, state, hz_on)
+        entered = zres.entered
+        fstats.count_quad_fates(QuadFate.HZ, zres.hz_culled)
+        fstats.fragments_zstencil += zres.fragments
+        fstats.quads_zstencil += zres.quads
+        fstats.complete_quads_zstencil += zres.complete_quads
         self.zstencil.account_stream(
-            stream.qx[entered], stream.qy[entered], wrote[entered]
+            stream.qx[entered], stream.qy[entered], zres.wrote[entered]
         )
-        surv = entered & pass_mask.any(axis=1)
-        fstats.count_quad_fates(
-            QuadFate.ZSTENCIL, int(entered.sum() - surv.sum())
-        )
-        return surv, pass_mask
+        surv = zres.pass_mask.any(axis=1)
+        fstats.count_quad_fates(QuadFate.ZSTENCIL, zres.quads - int(surv.sum()))
+        return surv, zres.pass_mask
 
     def _shade_and_write_stream(
         self,

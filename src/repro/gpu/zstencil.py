@@ -5,6 +5,14 @@ operations (including the two-sided wrap ops the Doom3/Quake4 shadow-volume
 algorithm relies on), the z-buffer writes, and the Z/stencil cache with
 fast-clear and plane compression — the machinery behind Tables IX, XIV, XV
 and XVII.
+
+Two entries test and write: :meth:`ZStencilStage.process` takes one
+triangle's quads (the per-triangle reference path) and
+:meth:`ZStencilStage.test_write` a whole draw's QuadStream, HZ cull
+included.  ``test_write`` runs the compiled ``zstencilpass`` over the draw's
+triangle groups in submission order, or without the kernels replays that
+order in hazard-free block-rank waves (:func:`block_ranks`).  Cache
+accounting is separate (:meth:`ZStencilStage.account_stream`).
 """
 
 from __future__ import annotations
@@ -13,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.state import RenderState
+from repro.api.state import DEPTH_FUNCS, STENCIL_FUNCS, STENCIL_OPS, RenderState
+from repro.gpu import _native
 from repro.gpu.caches import Cache
 from repro.gpu.config import GpuConfig
 from repro.gpu.framebuffer import BlockState, Framebuffer
 from repro.gpu.memory import MemoryController
-from repro.gpu.rasterizer import _QUAD_DX, _QUAD_DY, QuadBatch
+from repro.gpu.rasterizer import _QUAD_DX, _QUAD_DY, QuadBatch, QuadStream
 from repro.gpu.stats import MemClient
 
 
@@ -26,6 +35,13 @@ from repro.gpu.stats import MemClient
 class ZStencilResult:
     pass_mask: np.ndarray  # (Q, 4) lanes passing both tests
     wrote: np.ndarray  # (Q,) quads that modified z or stencil
+    # Draw-level entry (test_write) only: the quads that passed HZ and
+    # were tested, and the counts the pipeline books.
+    entered: np.ndarray | None = None  # (Q,)
+    hz_culled: int = 0
+    fragments: int = 0  # alive lanes of entered quads
+    quads: int = 0
+    complete_quads: int = 0
 
 
 def block_ranks(block: np.ndarray, tri: np.ndarray) -> np.ndarray:
@@ -36,7 +52,10 @@ def block_ranks(block: np.ndarray, tri: np.ndarray) -> np.ndarray:
     block belong to a single triangle (so a vectorized read-test-write pass
     is race-free), and per block the ranks replay triangles in submission
     order — which is exactly the ordering the per-triangle reference path
-    gives each block's depth/stencil state.
+    gives each block's depth/stencil state.  A quad's z, stencil, HZ
+    extents and stencil band all belong to its block, so this equals the
+    compiled pass's walk of the triangle groups in stream order; the waves
+    are :meth:`ZStencilStage.test_write`'s path when no kernels are built.
 
     ``tri`` must be non-decreasing within each block's quads (true for a
     :class:`~repro.gpu.rasterizer.QuadStream`, which is triangle-ordered).
@@ -80,59 +99,138 @@ class ZStencilStage:
         ``alive``: (Q, 4) lanes still live entering the stage.  Returns the
         surviving lanes and accounts all cache/memory traffic.
         """
-        fb = self.fb
-        xs, ys = quads.pixel_coords()
-        cur_z = fb.z[ys, xs]
-        cur_s = fb.stencil[ys, xs]
-
-        if state.depth_test:
-            z_pass = _DEPTH_FUNCS[state.depth_func](quads.z, cur_z)
-        else:
-            z_pass = np.ones_like(alive)
-        if state.stencil_test:
-            s_pass = _STENCIL_FUNCS[state.stencil_func](cur_s, state.stencil_ref)
-        else:
-            s_pass = np.ones_like(alive)
-
-        passed = alive & z_pass & s_pass
-        wrote_any = np.zeros(quads.qx.shape[0], dtype=bool)
-
-        # Stencil updates.
-        if state.stencil_test and state.stencil_write:
-            side = state.stencil_front if quads.front else state.stencil_back
-            new_s = cur_s.copy()
-            sfail = alive & ~s_pass
-            zfail = alive & s_pass & ~z_pass
-            zpass = passed
-            for mask, op in (
-                (sfail, side.sfail),
-                (zfail, side.zfail),
-                (zpass, side.zpass),
-            ):
-                if op == "keep" or not mask.any():
-                    continue
-                new_s[mask] = _apply_stencil_op(op, cur_s[mask], state.stencil_ref)
-            changed = new_s != cur_s
-            if changed.any():
-                fb.stencil[ys[changed], xs[changed]] = new_s[changed]
-                wrote_any |= changed.any(axis=1)
-                touched = changed.any(axis=1)
-                bx, by = fb.quad_block_coords(
-                    quads.qx[touched], quads.qy[touched]
-                )
-                fb.note_stencil_write(bx, by)
-
-        # Depth writes.
-        if state.depth_test and state.depth_write:
-            write_mask = passed
-            if write_mask.any():
-                fb.z[ys[write_mask], xs[write_mask]] = quads.z[write_mask]
-                wrote_any |= write_mask.any(axis=1)
-
-        self.account_stream(quads.qx, quads.qy, wrote_any)
-        return ZStencilResult(pass_mask=passed, wrote=wrote_any)
+        passed, wrote = self._test_write_quads(
+            quads.qx, quads.qy, quads.z,
+            np.full(quads.quad_count, quads.front), state, alive,
+        )
+        self.account_stream(quads.qx, quads.qy, wrote)
+        return ZStencilResult(pass_mask=passed, wrote=wrote)
 
     def test_write(
+        self,
+        stream: QuadStream,
+        alive: np.ndarray,
+        state: RenderState,
+        hz_on: bool,
+    ) -> ZStencilResult:
+        """One draw's HZ cull and Z/stencil test and write, in stream order.
+
+        ``alive`` is the (Q, 4) lanes entering the stage: ``stream.cover``
+        for early Z, the shaded survivors for late Z (where ``hz_on`` is
+        False).  HZ culls test ``stream.cover``.  Each triangle group (a run
+        of equal ``stream.tri``) is culled against the HZ state from before
+        it, tested and written; then the stencil band of each block whose
+        stencil it changed is refreshed and, when ``state.depth_write``,
+        the HZ extents of each block it wrote: the per-triangle reference's
+        order.  Cache accounting is left to :meth:`account_stream`, which
+        the pipeline calls once over the entered quads in original order.
+
+        The compiled ``zstencilpass`` walks the groups in one call; without
+        the kernels the same order is replayed in block-rank waves
+        (:func:`block_ranks`).  Both give identical results.
+        """
+        if not _native.available():
+            return self._test_write_waves(stream, alive, state, hz_on)
+        n = stream.quad_count
+        pass_mask = np.empty((n, 4), dtype=bool)
+        wrote = np.empty(n, dtype=bool)
+        entered = np.empty(n, dtype=bool)
+        front, back = state.stencil_front, state.stencil_back
+        params = np.array(
+            [
+                state.depth_test, DEPTH_FUNCS.index(state.depth_func),
+                state.depth_write, state.stencil_test,
+                STENCIL_FUNCS.index(state.stencil_func), state.stencil_ref,
+                state.stencil_write,
+                *(STENCIL_OPS.index(op) for op in (
+                    front.sfail, front.zfail, front.zpass,
+                    back.sfail, back.zfail, back.zpass,
+                )),
+                hz_on,
+                hz_on and self.config.hz_min_max and state.depth_func == "equal",
+                hz_on and self.config.hz_stencil and state.stencil_test,
+            ],
+            dtype=np.int64,
+        )
+        fb = self.fb
+        counts = _native.zstencilpass(
+            np.ascontiguousarray(stream.qx, dtype=np.int64),
+            np.ascontiguousarray(stream.qy, dtype=np.int64),
+            np.ascontiguousarray(stream.tri, dtype=np.int64),
+            np.ascontiguousarray(stream.cover, dtype=bool),
+            np.ascontiguousarray(alive, dtype=bool),
+            np.ascontiguousarray(stream.z, dtype=np.float64),
+            np.ascontiguousarray(stream.front, dtype=bool),
+            params,
+            (fb.z, fb.stencil, fb.hz_max, fb.hz_min,
+             fb.hz_stencil_min, fb.hz_stencil_max),
+            fb.block,
+            pass_mask, wrote, entered,
+        )
+        return ZStencilResult(pass_mask, wrote, entered, *counts)
+
+    def _test_write_waves(
+        self,
+        stream: QuadStream,
+        alive: np.ndarray,
+        state: RenderState,
+        hz_on: bool,
+    ) -> ZStencilResult:
+        """:meth:`test_write` without the kernels: block-rank waves.
+
+        When the draw can write depth or stencil, its quads run in
+        :func:`block_ranks` waves, each hazard-free, so every block sees
+        its triangles in submission order; HZ culls and refreshes
+        interleave with the waves as the per-triangle path interleaves
+        them per block.  A draw that writes nothing is one wave.
+        """
+        n = stream.quad_count
+        pass_mask = np.zeros((n, 4), dtype=bool)
+        wrote = np.zeros(n, dtype=bool)
+        entered = np.zeros(n, dtype=bool)
+        hz_culled = fragments = complete = 0
+        if (state.depth_test and state.depth_write) or (
+            state.stencil_test and state.stencil_write
+        ):
+            bx, by = self.fb.quad_block_coords(stream.qx, stream.qy)
+            ranks = block_ranks(self.fb.block_line_index(bx, by), stream.tri)
+            order = np.argsort(ranks, kind="stable")
+            bounds = np.concatenate(([0], np.cumsum(np.bincount(ranks))))
+            waves = [
+                order[bounds[r] : bounds[r + 1]] for r in range(bounds.size - 1)
+            ]
+        else:
+            waves = [np.arange(n)]
+
+        for idx in waves:
+            if hz_on:
+                culled = self.hz_cull(
+                    stream.qx[idx], stream.qy[idx], stream.z[idx],
+                    stream.cover[idx], state,
+                )
+                hz_culled += int(culled.sum())
+                if culled.all():
+                    continue
+                if culled.any():
+                    idx = idx[~culled]
+            qx, qy = stream.qx[idx], stream.qy[idx]
+            wave_alive = alive[idx]
+            entered[idx] = True
+            fragments += int(wave_alive.sum())
+            complete += int(wave_alive.all(axis=1).sum())
+            passed, wave_wrote = self._test_write_quads(
+                qx, qy, stream.z[idx], stream.front[idx], state, wave_alive
+            )
+            pass_mask[idx] = passed
+            wrote[idx] = wave_wrote
+            if state.depth_write:
+                self.update_hz_quads(qx, qy, wave_wrote)
+        return ZStencilResult(
+            pass_mask, wrote, entered,
+            hz_culled, fragments, int(entered.sum()), complete,
+        )
+
+    def _test_write_quads(
         self,
         qx: np.ndarray,
         qy: np.ndarray,
@@ -140,14 +238,13 @@ class ZStencilStage:
         front: np.ndarray,
         state: RenderState,
         alive: np.ndarray,
-    ) -> ZStencilResult:
-        """Test/update the framebuffer for one hazard-free quad wave.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Test/update the framebuffer for quads that share no pixel: one
+        triangle's, or one block-rank wave's.
 
-        Like :meth:`process` but over plain stream arrays with a *per-quad*
-        front-facing flag, and without cache accounting — the vectorized
-        pipeline accounts a draw's whole post-HZ stream once, in original
-        order, via :meth:`account_stream`.  Callers must guarantee the wave
-        is free of same-pixel hazards (see :func:`block_ranks`).
+        ``front`` is per quad.  Refreshes the stencil band of changed
+        blocks, not HZ, and accounts no cache traffic.  Returns the pass
+        mask and the per-quad write flags.
         """
         fb = self.fb
         xs = qx[:, None] * 2 + _QUAD_DX[None, :]
@@ -202,7 +299,34 @@ class ZStencilStage:
                 fb.z[ys[write_mask], xs[write_mask]] = z[write_mask]
                 wrote_any |= write_mask.any(axis=1)
 
-        return ZStencilResult(pass_mask=passed, wrote=wrote_any)
+        return passed, wrote_any
+
+    def hz_cull(
+        self,
+        qx: np.ndarray,
+        qy: np.ndarray,
+        z: np.ndarray,
+        cover: np.ndarray,
+        state: RenderState,
+    ) -> np.ndarray:
+        """Hierarchical-Z cull mask for quads tested against the current HZ.
+
+        The quad's depth extremes over its ``cover`` lanes meet the block's
+        HZ max (and min, for ``equal`` under ``hz_min_max``); under
+        ``hz_stencil`` a stencil test also culls on the block's band.
+        """
+        z_min = np.where(cover, z, np.inf).min(axis=1)
+        if self.config.hz_min_max and state.depth_func == "equal":
+            culled = self.fb.hz_minmax_equal_cull_mask(
+                qx, qy, z_min, np.where(cover, z, -np.inf).max(axis=1)
+            )
+        else:
+            culled = self.fb.hz_cull_mask(qx, qy, z_min)
+        if self.config.hz_stencil and state.stencil_test:
+            culled = culled | self.fb.hz_stencil_cull_mask(
+                qx, qy, state.stencil_ref, state.stencil_func
+            )
+        return culled
 
     def update_hz_quads(
         self, qx: np.ndarray, qy: np.ndarray, wrote: np.ndarray

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from enum import Enum
 
 from repro.shader.isa import Instruction, Opcode, Operand
@@ -34,12 +35,14 @@ class ShaderProgram:
         """Total instructions (the paper's 'Instructions' column)."""
         return len(self.instructions)
 
-    @property
+    # The instruction tuple is frozen, so the counts below are computed on
+    # first read; ``__getstate__`` keeps them out of pickles.
+    @cached_property
     def texture_instruction_count(self) -> int:
         """Texture-sampling instructions (TEX/TXP/TXB)."""
         return sum(1 for i in self.instructions if i.opcode.is_texture)
 
-    @property
+    @cached_property
     def alu_instruction_count(self) -> int:
         """Non-texture, non-kill arithmetic instructions."""
         return sum(
@@ -56,10 +59,13 @@ class ShaderProgram:
             return float("inf")
         return self.alu_instruction_count / tex
 
-    @property
+    @cached_property
     def uses_kill(self) -> bool:
         """True when the program contains KIL (ATTILA's alpha-test idiom)."""
         return any(i.opcode.is_kill for i in self.instructions)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def samplers_used(self) -> tuple[int, ...]:

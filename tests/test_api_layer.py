@@ -1,5 +1,6 @@
 """Tests for the API layer: commands, state machine, trace I/O, tracer."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -86,6 +87,35 @@ class TestStateMachine:
         machine = StateMachine()
         with pytest.raises(ValueError):
             machine.apply(SetState("wireframe", True))
+
+    def test_rejected_value_leaves_state_unchanged(self):
+        machine = StateMachine()
+        before = machine.state
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                machine.apply(SetState("depth_func", "sometimes"))
+            assert machine.state is before
+        # A method name is not a state field either.
+        with pytest.raises(ValueError):
+            machine.apply(SetState("texture", "a"))
+
+    def test_apply_builds_the_states_replace_builds(self):
+        machine = StateMachine()
+        expected = RenderState()
+        for call, change in (
+            (SetState("depth_func", "equal"), {"depth_func": "equal"}),
+            (BindProgram("fragment", "fp"), {"fragment_program": "fp"}),
+            (BindTexture(1, "t"), {"textures": ((1, "t"),)}),
+            (
+                SetState("stencil_front", ("keep", "keep", "incr_wrap")),
+                {"stencil_front": StencilSide("keep", "keep", "incr_wrap")},
+            ),
+        ):
+            machine.apply(call)
+            expected = dataclasses.replace(expected, **change)
+            assert machine.state == expected
+            assert hash(machine.state) == hash(expected)
+            assert vars(machine.state) == vars(expected)
 
     def test_stencil_side_from_tuple(self):
         machine = StateMachine()

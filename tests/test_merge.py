@@ -17,6 +17,7 @@ The farm's scaling story rests on three claims, each tested here:
 from __future__ import annotations
 
 import itertools
+import os
 import pickle
 
 import pytest
@@ -34,7 +35,7 @@ from repro.farm import (
     run_job,
     sim_job,
 )
-from repro.farm import faults
+from repro.farm import chaos, faults
 from repro.farm.chaos import results_equal
 from repro.farm.checkpoint import (
     build_job_workload,
@@ -135,6 +136,34 @@ def test_merged_simulation_pickles_to_the_serial_bytes(engine_split):
     assert pickle.dumps(merged, protocol=pickle.HIGHEST_PROTOCOL) == pickle.dumps(
         serial, protocol=pickle.HIGHEST_PROTOCOL
     )
+
+
+def test_round_tripped_result_pickles_to_the_fresh_bytes():
+    """A result that crossed a process boundary pickles as it did fresh:
+    unpickling splits no shared string (``config``, ``texture_l0``, ...)
+    into two objects that would then pickle twice."""
+    workload = build_workload(WORKLOAD, sim=True)
+    sim = workload.simulator()
+    sim.run_trace(workload.trace(frames=1), max_frames=1)
+    fresh = pickle.dumps(sim.result(), protocol=pickle.HIGHEST_PROTOCOL)
+    assert pickle.dumps(
+        pickle.loads(fresh), protocol=pickle.HIGHEST_PROTOCOL
+    ) == fresh
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs to pool")
+def test_pooled_sharded_artifact_is_the_serial_artifact(tmp_path):
+    """Two pooled shards merged in the parent store the serial run's
+    artifact, byte for byte."""
+    job = chaos.CKPT_JOB
+    digests = []
+    for jobs in (1, 2):
+        farm = Farm(store=ArtifactStore(tmp_path / f"jobs{jobs}"), jobs=jobs)
+        farm.run([job])
+        sources = [r.source for r in farm.telemetry.records]
+        assert sources.count("merge") == (jobs == 2)
+        digests.append(farm.store._read_meta(job)["sha256"])
+    assert digests[1] == digests[0]
 
 
 def test_sharded_api_stats_are_bit_identical(api_split):

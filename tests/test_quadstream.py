@@ -50,10 +50,14 @@ def _sha(*arrays) -> str:
     return h.hexdigest()
 
 
-def _fingerprint(name: str, vectorized: bool) -> dict:
+def _fingerprint(name: str, vectorized: bool, extensions: bool = False) -> dict:
     workload = build_workload(name, sim=True)
-    sim = workload.simulator()
-    sim.config = dataclasses.replace(sim.config, vectorized=vectorized)
+    config = dataclasses.replace(
+        workload.simulator().config, vectorized=vectorized
+    )
+    if extensions:
+        config = dataclasses.replace(config, hz_min_max=True, hz_stencil=True)
+    sim = workload.simulator(config)
     result = sim.run_trace(
         workload.trace(frames=FRAMES), max_frames=FRAMES, keep_images=FRAMES
     )
@@ -70,13 +74,16 @@ def _fingerprint(name: str, vectorized: bool) -> dict:
         },
         "images": [_sha(image) for image in result.images],
         "planes": _sha(sim.fb.color, sim.fb.z, sim.fb.stencil),
+        "hz": _sha(sim.fb.hz_max, sim.fb.hz_min,
+                   sim.fb.hz_stencil_min, sim.fb.hz_stencil_max),
     }
 
 
 @functools.lru_cache(maxsize=None)
-def _run(name: str, vectorized: bool) -> dict:
-    """One simulation per (engine, path), shared across the test cases."""
-    return _fingerprint(name, vectorized)
+def _run(name: str, vectorized: bool, extensions: bool = False) -> dict:
+    """One simulation per (engine, path, HZ extensions), shared across the
+    test cases."""
+    return _fingerprint(name, vectorized, extensions)
 
 
 def _without_zstencil_bytes(fingerprint: dict) -> dict:
@@ -107,11 +114,15 @@ def test_quadstream_zstencil_bytes_match_per_triangle(name):
 def test_native_kernels_match_python(monkeypatch):
     """The compiled kernels are a pure accelerator: forcing the Python
     fallbacks must reproduce the identical QuadStream simulation, Z/stencil
-    bytes included."""
-    with_native = {name: _run(name, True) for name in SIMULATED}
+    bytes and HZ planes included, on every engine and once with the HZ
+    extensions (min/max and stencil-in-HZ culls, which the Z/stencil
+    kernel runs in submission order)."""
+    with_native = {name: _run(name, True) for name in ENGINES}
+    extended = _run("Doom3/trdemo2", True, True)
     monkeypatch.setattr(_native, "available", lambda: False)
-    for name in SIMULATED:
+    for name in ENGINES:
         assert _fingerprint(name, True) == with_native[name], name
+    assert _fingerprint("Doom3/trdemo2", True, True) == extended
 
 
 def test_native_cache_rebuilds_a_corrupt_binary(tmp_path, monkeypatch):

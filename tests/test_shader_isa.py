@@ -1,5 +1,7 @@
 """Tests for the shader ISA: operands, instructions, assembler."""
 
+import pickle
+
 import pytest
 
 from repro.shader.isa import Instruction, Opcode, Operand
@@ -73,6 +75,14 @@ class TestAssembler:
         assert prog.alu_instruction_count == 3
         assert prog.uses_kill
         assert prog.samplers_used == (0,)
+
+    def test_counts_are_not_pickled(self):
+        prog = assemble("TEX r0, v1, s0\nKIL -r0.a\nMOV o0, r0")
+        fresh = pickle.dumps(prog)
+        assert (prog.texture_instruction_count, prog.alu_instruction_count,
+                prog.uses_kill) == (1, 1, True)
+        assert pickle.dumps(prog) == fresh
+        assert pickle.loads(fresh).uses_kill
 
     def test_alu_tex_ratio(self):
         prog = assemble("TEX r0, v1, s0\nMUL r0, r0, r0\nADD r0, r0, r0\nMOV o0, r0")
