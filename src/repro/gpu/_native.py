@@ -42,16 +42,23 @@ _SOURCE = r"""
 
 typedef int64_t i64;
 
-/* Spread the low 16 bits of x into the even bit slots (Morton helper;
-   mirrors repro.util.morton's lookup-table construction). */
-static uint64_t part16(uint64_t x)
+/* Morton helper: tc_spread[b] moves bit k of the byte b to bit 2k, so
+   spread16 spreads the low 16 bits of x into the even bit slots with two
+   lookups and drops the bits above (repro.util.morton's table). */
+#define TC_SP1(b) (((b) & 1) | (((b) & 2) << 1) | (((b) & 4) << 2) \
+                   | (((b) & 8) << 3) | (((b) & 16) << 4) | (((b) & 32) << 5) \
+                   | (((b) & 64) << 6) | (((b) & 128) << 7))
+#define TC_SP4(b) TC_SP1(b), TC_SP1((b) + 1), TC_SP1((b) + 2), TC_SP1((b) + 3)
+#define TC_SP16(b) TC_SP4(b), TC_SP4((b) + 4), TC_SP4((b) + 8), TC_SP4((b) + 12)
+#define TC_SP64(b) TC_SP16(b), TC_SP16((b) + 16), TC_SP16((b) + 32), \
+                   TC_SP16((b) + 48)
+static const uint16_t tc_spread[256] = {
+    TC_SP64(0), TC_SP64(64), TC_SP64(128), TC_SP64(192)
+};
+
+static inline uint64_t spread16(uint64_t x)
 {
-    x &= 0xFFFFu;
-    x = (x | (x << 8)) & 0x00FF00FFu;
-    x = (x | (x << 4)) & 0x0F0F0F0Fu;
-    x = (x | (x << 2)) & 0x33333333u;
-    x = (x | (x << 1)) & 0x55555555u;
-    return x;
+    return tc_spread[x & 255] | (uint64_t)tc_spread[(x >> 8) & 255] << 16;
 }
 
 /* One set-associative LRU access (Cache.access_line): the only C step
@@ -269,43 +276,100 @@ static void tc_export(const lrulist *C, i64 *lines)
     }
 }
 
+/* Per-level address constants of one texcache call. */
+typedef struct {
+    double inv, hp;        /* 1 / pitch and pitch / 2 (both exact) */
+    i64 wmask, hmask;      /* texel wraps: the level's extents - 1 */
+    i64 off;               /* base_address + the level's block offset */
+} tclevel;
+
+/* L0 line of the probe corner at (x, y): the texel under it, wrapped, its
+   4x4 block Morton-coded, the block address divided by block_bytes. */
+static inline i64 tc_line(const tclevel *L, double x, double y,
+                          i64 block_bytes, int bshift)
+{
+    i64 tx = (i64)floor(x * L->inv) & L->wmask;
+    i64 ty = (i64)floor(y * L->inv) & L->hmask;
+    uint64_t m = spread16((uint64_t)(tx >> 2))
+               | spread16((uint64_t)(ty >> 2)) << 1;
+    i64 addr = L->off + (i64)m * block_bytes;
+    return bshift >= 0 ? addr >> bshift : addr / block_bytes;
+}
+
+/* Walk L0 lines in order, each L0 miss through L1.  A line equal to the
+   one walked just before is an L0 hit without a lookup: that access left
+   it at the head of its set, and a never-written stream's hit on the head
+   changes nothing. */
+static void tc_walk(lrulist *C0, lrulist *C1, const i64 *lines, i64 n,
+                    i64 block_bytes, i64 l1_line_bytes, i64 *last,
+                    i64 *counts)
+{
+    i64 prev = *last, l0h = 0, l0m = 0, l1h = 0;
+    for (i64 k = 0; k < n; k++) {
+        i64 line = lines[k];
+        if (line == prev) {
+            l0h++;
+            continue;
+        }
+        prev = line;
+        if (tc_access(C0, line)) {
+            l0h++;
+        } else {
+            l0m++;
+            l1h += tc_access(C1, (line * block_bytes) / l1_line_bytes);
+        }
+    }
+    *last = prev;
+    counts[1] += l0h;
+    counts[2] += l0m;
+    counts[3] += l1h;
+    counts[4] += l0m - l1h;
+}
+
 /* Fused texture-request pass: the whole per-draw loop of
    TextureUnit._simulate_cache — probe-address generation, the L0 LRU walk,
-   and the L1 walk of the L0 miss stream — in one call with no
-   materialized address stream.  Addresses are emitted in the model's
-   exact order: for each probe index p, for each mip step, the -0.5
-   footprint corner of every lane taking that (p, step), then the +0.5
-   corner.  All float arithmetic is plain IEEE double in the exact numpy
-   evaluation order (the build must not enable contraction or fast-math),
-   so addresses are bit-identical.  Per sample: t in [-0.5, 0.5) along the
-   anisotropy axis, position u + t*du; level = min(mip0 + step, max_level);
-   texels wrap at the mip extents, which are powers of two
-   (TextureResource rejects any other extent), so the wrap is a mask that
-   equals the wrapped modulus in two's complement; the 4x4 block index is
-   Morton-coded.
+   and the L1 walk of the L0 miss stream — over the lanes covered[] selects,
+   in one call.  Addresses are emitted in the model's exact order: for each
+   probe index p, for each mip step, the -0.5 footprint corner of every
+   lane taking that (p, step), then the +0.5 corner.  All float arithmetic
+   is plain IEEE double in the exact numpy evaluation order (the build must
+   not enable contraction or fast-math), so addresses are bit-identical.
+   Per sample: t in [-0.5, 0.5) along the anisotropy axis, position
+   u + t*du; level = min(mip0 + step, max_level); texels wrap at the mip
+   extents, which are powers of two (TextureResource rejects any other
+   extent), so the wrap is a mask that equals the wrapped modulus in two's
+   complement; the 4x4 block index is Morton-coded.
+   Per probe p, one lines pass over the lanes with more than p probes (in
+   lane order, compacted in place after each pass) computes the sample
+   position once and writes the step-0 corner lines to a0/a1 and, for
+   lanes with a second mip, the step-1 lines to b0/b1; tc_walk then runs
+   a0, a1, b0, b1 in that order.  Address constants come from per-call
+   tables: t per (probe count q, probe p), filled with the numpy
+   expression, and the per-level tclevel.
    The collapse passes Cache.access_runs applies first (duplicate-run
    and period-2 alternation folding) are exact no-ops on hit/miss totals
-   and LRU state, so the raw inline walk reproduces their counters bit for
-   bit; interleaving each L0 miss's L1 access into the walk is equally
-   neutral because the two caches share no state.  Texture streams never
-   write, so dirty evictions cannot occur — which is what lets both walks
-   run on the linked-list LRU mirror above (imported up front, exported
-   back to MRU-first order at the end) instead of the memmove list.  The
-   mirrors live on the calling thread's stack: per-slot arrays of
-   TC_SLOTS entries, per-set list ends sized by the set count.
-   bucket is caller scratch of at least sum(probes) entries: lanes are
-   bucketed per probe index up front (ascending lane order within each
-   bucket) so the sweep never scans lanes that emit nothing.
+   and LRU state, so the raw walk reproduces their counters bit for bit;
+   interleaving each L0 miss's L1 access into the walk is equally neutral
+   because the two caches share no state.  Texture streams never write, so
+   dirty evictions cannot occur — which is what lets both walks run on the
+   linked-list LRU mirror above (imported up front, exported back to
+   MRU-first order at the end) instead of the memmove list.  The mirrors
+   live on the calling thread's stack: per-slot arrays of TC_SLOTS
+   entries, per-set list ends sized by the set count.
    counts: emitted, l0 hits, l0 misses, l1 hits, l1 misses; counts[0] = -1
-   means max_probes or a cache geometry exceeded the kernel bounds and
-   nothing was touched. */
+   means the call exceeded the kernel bounds and nothing was touched: a
+   cache over TC_SLOTS way slots, more than TC_LEVELS levels, or a covered
+   lane whose probe count (truncated) is outside 1..TC_PROBES or whose
+   mip0 is negative (its level would fall outside the table). */
+enum { TC_PROBES = 64, TC_LEVELS = 64 };
+
 void texcache(const double *u, const double *v,
               const double *du, const double *dv,
-              const i64 *mip0, const i64 *probes, const i64 *mips, i64 n,
-              i64 max_probes, i64 max_level, i64 width, i64 height,
+              const i64 *mip0, const double *probes, const i64 *mips,
+              const uint8_t *covered, i64 n,
+              i64 max_level, i64 width, i64 height,
               const i64 *mip_offsets, i64 n_offsets,
               i64 base_address, i64 block_bytes,
-              i64 *bucket,
               i64 *l0_lines, uint8_t *l0_dirty, i64 *l0_sizes,
               i64 l0_nsets, i64 l0_ways,
               i64 *l1_lines, uint8_t *l1_dirty, i64 *l1_sizes,
@@ -313,15 +377,48 @@ void texcache(const double *u, const double *v,
               i64 l1_line_bytes,
               i64 *counts)
 {
-    enum { MAXP = 64 };
-    i64 bcount[MAXP], boff[MAXP + 1], cur[MAXP];
     i64 l0_slots = l0_nsets * l0_ways, l1_slots = l1_nsets * l1_ways;
-    if (max_probes > MAXP || l0_slots > TC_SLOTS || l1_slots > TC_SLOTS) {
-        counts[0] = -1;
+    counts[0] = -1;
+    if (l0_slots > TC_SLOTS || l1_slots > TC_SLOTS || max_level < 0
+        || max_level >= TC_LEVELS || n_offsets < 1)
         return;
-    }
     (void)l0_dirty;
     (void)l1_dirty;
+    i64 *lanes = malloc(((size_t)n * 5 + 1) * sizeof(i64));
+    if (lanes == NULL) return;
+    i64 *a0 = lanes + n, *a1 = a0 + n, *b0 = a1 + n, *b1 = b0 + n;
+    i64 m = 0, maxq = 0;
+    for (i64 i = 0; i < n; i++) {
+        if (!covered[i] || mips[i] <= 0) continue;
+        if (!(probes[i] >= 1.0 && probes[i] <= TC_PROBES) || mip0[i] < 0) {
+            free(lanes);
+            return;
+        }
+        if ((i64)probes[i] > maxq) maxq = (i64)probes[i];
+        lanes[m++] = i;
+    }
+    double ttab[TC_PROBES][TC_PROBES];
+    for (i64 q = 1; q <= maxq; q++)
+        for (i64 p = 0; p < q; p++)
+            ttab[q - 1][p] = ((double)p + 0.5) / (double)q - 0.5;
+    tclevel lv[TC_LEVELS];
+    for (i64 l = 0; l <= max_level; l++) {
+        i64 cl = l > 30 ? 30 : l;
+        double pitch = ldexp(1.0, (int)l);
+        i64 w = width >> cl, h = height >> cl;
+        lv[l].inv = 1.0 / pitch;
+        lv[l].hp = 0.5 * pitch;
+        lv[l].wmask = (w < 1 ? 1 : w) - 1;
+        lv[l].hmask = (h < 1 ? 1 : h) - 1;
+        lv[l].off = base_address + mip_offsets[l < n_offsets - 1 ? l : n_offsets - 1];
+    }
+    /* addr / block_bytes is a shift when block_bytes is a power of two
+       (addresses are nonnegative, so the shift is the exact quotient). */
+    int bshift = -1;
+    if (block_bytes > 0 && (block_bytes & (block_bytes - 1)) == 0) {
+        bshift = 0;
+        while ((i64)1 << bshift != block_bytes) bshift++;
+    }
     i64 wline0[TC_SLOTS], wline1[TC_SLOTS];
     int32_t prv0[TC_SLOTS], nxt0[TC_SLOTS], prv1[TC_SLOTS], nxt1[TC_SLOTS];
     int32_t head0[l0_nsets], tail0[l0_nsets], head1[l1_nsets], tail1[l1_nsets];
@@ -330,111 +427,42 @@ void texcache(const double *u, const double *v,
     i64 hcap0 = 64, hcap1 = 64;
     while (hcap0 < 4 * l0_slots) hcap0 <<= 1;
     while (hcap1 < 4 * l1_slots) hcap1 <<= 1;
-    /* Hoisted per-(lane, step) mip constants — lvl, pitch and extents
-       depend only on the lane's base level and the step, not on the probe
-       or corner, so computing them per emission wastes most of the walk.
-       hoff folds base_address + mip_offsets[oi] into one addend.  hinv
-       and hhp (0.5 * pitch; the - corner negates it, which is exact) feed
-       the identical float expressions, so addresses are unchanged. */
-    double *scratch = malloc((size_t)n * 6 * sizeof(double));
-    if (scratch == NULL) { counts[0] = -1; return; }
-    double *hinv = scratch;            /* n*2 */
-    double *hhp = scratch + n * 2;     /* n*2 */
-    double *tpu = scratch + n * 4;     /* n: per-probe sample u */
-    double *tpv = scratch + n * 5;     /* n: per-probe sample v */
-    i64 *iscratch = malloc((size_t)n * 6 * sizeof(i64));
-    if (iscratch == NULL) { free(scratch); counts[0] = -1; return; }
-    i64 *hw = iscratch;                /* n*2 */
-    i64 *hh = iscratch + n * 2;        /* n*2 */
-    i64 *hoff = iscratch + n * 4;      /* n*2 */
-    for (i64 i = 0; i < n; i++) {
-        for (i64 step = 0; step < 2 && step < mips[i]; step++) {
-            i64 lvl = mip0[i] + step;
-            if (lvl > max_level) lvl = max_level;
-            i64 cl = lvl > 30 ? 30 : lvl;
-            double pitch = ldexp(1.0, (int)lvl);
-            i64 w = width >> cl; if (w < 1) w = 1;
-            i64 h = height >> cl; if (h < 1) h = 1;
-            i64 oi = lvl < n_offsets - 1 ? lvl : n_offsets - 1;
-            hinv[i * 2 + step] = 1.0 / pitch;
-            hhp[i * 2 + step] = 0.5 * pitch;
-            hw[i * 2 + step] = w;
-            hh[i * 2 + step] = h;
-            hoff[i * 2 + step] = base_address + mip_offsets[oi];
-        }
-    }
-    /* addr / block_bytes is a shift when block_bytes is a power of two
-       (addresses are nonnegative, so the shift is the exact quotient). */
-    i64 bshift = -1;
-    if (block_bytes > 0 && (block_bytes & (block_bytes - 1)) == 0) {
-        bshift = 0;
-        while ((i64)1 << bshift != block_bytes) bshift++;
-    }
     lrulist C0, C1;
     tc_init(&C0, wline0, prv0, nxt0, head0, tail0, hkey0, hval0, hcap0,
             l0_lines, l0_sizes, l0_nsets, l0_ways);
     tc_init(&C1, wline1, prv1, nxt1, head1, tail1, hkey1, hval1, hcap1,
             l1_lines, l1_sizes, l1_nsets, l1_ways);
-    for (i64 p = 0; p < max_probes; p++) bcount[p] = 0;
-    for (i64 i = 0; i < n; i++)
-        for (i64 p = 0; p < probes[i]; p++) bcount[p]++;
-    boff[0] = 0;
-    for (i64 p = 0; p < max_probes; p++) boff[p + 1] = boff[p] + bcount[p];
-    for (i64 p = 0; p < max_probes; p++) cur[p] = boff[p];
-    for (i64 i = 0; i < n; i++)
-        for (i64 p = 0; p < probes[i]; p++) bucket[cur[p]++] = i;
-    i64 emitted = 0, l0h = 0, l0m = 0, l1h = 0, l1m = 0;
-    for (i64 p = 0; p < max_probes; p++) {
-        const i64 *B = bucket + boff[p];
-        i64 bn = bcount[p];
-        /* The sample position depends on (probe, lane) only — compute it
-           once per probe instead of once per (step, corner) emission. */
-        for (i64 k = 0; k < bn; k++) {
-            i64 i = B[k];
-            double t = ((double)p + 0.5) / (double)probes[i] - 0.5;
-            tpu[i] = u[i] + t * du[i];
-            tpv[i] = v[i] + t * dv[i];
-        }
-        for (i64 step = 0; step < 2; step++) {
-            for (int c = 0; c < 2; c++) {
-                for (i64 k = 0; k < bn; k++) {
-                    i64 i = B[k];
-                    if (mips[i] <= step) continue;
-                    i64 is = i * 2 + step;
-                    double inv = hinv[is];
-                    double cu = c ? hhp[is] : -hhp[is];
-                    i64 w = hw[is], h = hh[is];
-                    i64 tx = (i64)floor((tpu[i] + cu) * inv) & (w - 1);
-                    i64 ty = (i64)floor((tpv[i] + cu) * inv) & (h - 1);
-                    uint64_t m = part16((uint64_t)(tx >> 2))
-                               | (part16((uint64_t)(ty >> 2)) << 1);
-                    i64 addr = hoff[is] + (i64)m * block_bytes;
-                    i64 l0_line = bshift >= 0 ? addr >> bshift
-                                              : addr / block_bytes;
-                    emitted++;
-                    if (tc_access(&C0, l0_line)) {
-                        l0h++;
-                    } else {
-                        l0m++;
-                        i64 l1_line = (l0_line * block_bytes) / l1_line_bytes;
-                        if (tc_access(&C1, l1_line))
-                            l1h++;
-                        else
-                            l1m++;
-                    }
-                }
+    i64 last = -1;
+    counts[0] = counts[1] = counts[2] = counts[3] = counts[4] = 0;
+    for (i64 p = 0; m > 0; p++) {
+        i64 keep = 0, nb = 0;
+        for (i64 k = 0; k < m; k++) {
+            i64 i = lanes[k];
+            i64 q = (i64)probes[i];
+            double t = ttab[q - 1][p];
+            double pu = u[i] + t * du[i], pv = v[i] + t * dv[i];
+            i64 l = mip0[i] < max_level ? mip0[i] : max_level;
+            const tclevel *L = lv + l;
+            a0[k] = tc_line(L, pu - L->hp, pv - L->hp, block_bytes, bshift);
+            a1[k] = tc_line(L, pu + L->hp, pv + L->hp, block_bytes, bshift);
+            if (mips[i] > 1) {
+                L = lv + (l < max_level ? l + 1 : max_level);
+                b0[nb] = tc_line(L, pu - L->hp, pv - L->hp, block_bytes, bshift);
+                b1[nb] = tc_line(L, pu + L->hp, pv + L->hp, block_bytes, bshift);
+                nb++;
             }
+            if (q > p + 1) lanes[keep++] = i;
         }
+        tc_walk(&C0, &C1, a0, m, block_bytes, l1_line_bytes, &last, counts);
+        tc_walk(&C0, &C1, a1, m, block_bytes, l1_line_bytes, &last, counts);
+        tc_walk(&C0, &C1, b0, nb, block_bytes, l1_line_bytes, &last, counts);
+        tc_walk(&C0, &C1, b1, nb, block_bytes, l1_line_bytes, &last, counts);
+        counts[0] += 2 * (m + nb);
+        m = keep;
     }
-    free(scratch);
-    free(iscratch);
+    free(lanes);
     tc_export(&C0, l0_lines);
     tc_export(&C1, l1_lines);
-    counts[0] = emitted;
-    counts[1] = l0h;
-    counts[2] = l0m;
-    counts[3] = l1h;
-    counts[4] = l1m;
 }
 
 /* Edge evaluation + coverage for candidate quads (the hot first half of
@@ -590,7 +618,9 @@ void blocks_uniform(const double *color, i64 cw, i64 block,
    associate as (((c*gx)*gy)), the sum left-to-right, and the final store
    narrows to float with round-to-nearest, so colors are bit-identical to
    the per-level numpy fetch (lanes are independent, so fusing the levels
-   changes nothing). */
+   changes nothing).  Like numpy's, the weights subtract the int64 texel
+   index, not the double floor: the two differ once |mu| >= 2^63, where
+   the conversion gives INT64_MIN, as numpy's astype does on x86-64. */
 void bilinear_levels(const float *flat, const i64 *offs,
                      const i64 *hs, const i64 *ws, i64 nlevels,
                      const double *u, const double *v,
@@ -606,10 +636,9 @@ void bilinear_levels(const float *flat, const i64 *offs,
         i64 h = hs[level], w = ws[level];
         double mu = u[i] * inv[level] - 0.5;
         double mv = v[i] * inv[level] - 0.5;
-        double x0 = floor(mu), y0 = floor(mv);
-        double fx = mu - x0, fy = mv - y0;
+        i64 xi = (i64)floor(mu), yi = (i64)floor(mv);
+        double fx = mu - (double)xi, fy = mv - (double)yi;
         double gx = 1.0 - fx, gy = 1.0 - fy;
-        i64 xi = (i64)x0, yi = (i64)y0;
         i64 x0w = xi & (w - 1), x1w = (xi + 1) & (w - 1);
         i64 y0w = yi & (h - 1), y1w = (yi + 1) & (h - 1);
         const float *p00 = mip + (y0w * w + x0w) * 4;
@@ -925,6 +954,7 @@ _U8P = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _F64P = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _F32P = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
 _I16P = np.ctypeslib.ndpointer(np.int16, flags="C_CONTIGUOUS")
+_BOOLP = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
 
 
 def _cache_dirs() -> list[pathlib.Path]:
@@ -1019,11 +1049,10 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.texcache.restype = None
     lib.texcache.argtypes = [
         _F64P, _F64P, _F64P, _F64P,
-        _I64P, _I64P, _I64P, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        _I64P, _F64P, _I64P, _BOOLP, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         _I64P, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64,
-        _I64P,
         _I64P, _U8P, _I64P, ctypes.c_int64, ctypes.c_int64,
         _I64P, _U8P, _I64P, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64,
@@ -1165,14 +1194,13 @@ def texcache(
     mip0: np.ndarray,
     probes: np.ndarray,
     mips: np.ndarray,
-    max_probes: int,
+    covered: np.ndarray,
     max_level: int,
     width: int,
     height: int,
     mip_offsets: np.ndarray,
     base_address: int,
     block_bytes: int,
-    bucket: np.ndarray,
     l0_state: tuple[np.ndarray, np.ndarray, np.ndarray],
     l0_geometry: tuple[int, int],
     l1_state: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -1181,19 +1209,23 @@ def texcache(
 ) -> tuple[int, int, int, int, int] | None:
     """Fused texture address generation + L0/L1 cache walk, in place.
 
-    Returns ``(emitted, l0_hits, l0_misses, l1_hits, l1_misses)`` and
-    mutates both cache state triples, or ``None`` (state untouched) when
-    ``max_probes`` exceeds 64 or a cache has more than 4096 way slots.
-    ``bucket`` is caller scratch of at least ``probes.sum()`` int64 entries.
+    Walks the probes of the lanes the boolean ``covered`` selects; the
+    other lanes' values are never read.  Returns ``(emitted, l0_hits,
+    l0_misses, l1_hits, l1_misses)`` and mutates both cache state triples,
+    or ``None`` (state untouched) when a covered lane's probe count is
+    outside 1..64 or its ``mip0`` is negative, the texture has more than
+    64 levels, or a cache has more than 4096 way slots.
     """
+    n = u.shape[0]
+    if any(a.shape[0] != n for a in (v, du, dv, mip0, probes, mips, covered)):
+        raise ValueError("texcache: lane arrays differ in length")
     counts = np.zeros(5, dtype=np.int64)
     _lib.texcache(
         u, v, du, dv,
-        mip0, probes, mips, u.shape[0],
-        max_probes, max_level, width, height,
+        mip0, probes, mips, covered, n,
+        max_level, width, height,
         mip_offsets, mip_offsets.shape[0],
         base_address, block_bytes,
-        bucket,
         l0_state[0], l0_state[1], l0_state[2],
         l0_geometry[0], l0_geometry[1],
         l1_state[0], l1_state[1], l1_state[2],

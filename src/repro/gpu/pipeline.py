@@ -92,7 +92,7 @@ class GpuSimulator:
         texture_filter: TextureFilter = TextureFilter.ANISOTROPIC,
         max_aniso: int = 16,
     ):
-        self.config = config
+        self._config = config
         self.meshes = meshes
         self.programs = programs
         self.memory = MemoryController()
@@ -110,6 +110,15 @@ class GpuSimulator:
         self.frame_stats: list[FrameGpuStats] = []
 
     # -- public API -----------------------------------------------------
+    @property
+    def config(self) -> GpuConfig:
+        """The configuration the simulator and its stages were built with.
+
+        Read-only: every stage keeps the config it was constructed with, so
+        assigning a new one would switch only some of the fields.
+        """
+        return self._config
+
     @property
     def frames_completed(self) -> int:
         """Frames fully simulated so far."""

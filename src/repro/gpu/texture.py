@@ -328,48 +328,36 @@ class TextureUnit:
         if mip_offsets is None:
             mip_offsets = np.asarray(resource.mip_block_offsets(), dtype=np.int64)
             self._mip_offsets[resource.name] = mip_offsets
-        max_probes = int(probes[covered].max())
-        u_c = u[covered]
-        v_c = v[covered]
-        mip0_c = mip0[covered]
-        probes_c = probes[covered]
-        mips_c = mip_count[covered]
-        du_c = major_du[covered]
-        dv_c = major_dv[covered]
         block_bytes = resource.format.block_bytes
-        if _native.available() and u_c.dtype == np.float64 and max_probes <= 64:
-            # One fused pass: the kernel generates the probe-major reference
-            # stream (bit-identical addresses to the numpy construction
-            # below) and walks it through the L0 and L1 LRU state inline,
-            # without materializing any intermediate.  The raw walk counts
+        if _native.available() and u.dtype == np.float64:
+            # One fused pass over the lanes as they are: the kernel skips
+            # uncovered lanes, generates the probe-major reference stream
+            # (bit-identical addresses to the numpy construction below) and
+            # walks it through the L0 and L1 LRU state, with no per-lane
+            # gather or stream array on this side.  The raw walk counts
             # exactly what the collapse passes in ``access_runs`` count:
             # those passes only drop guaranteed hits, which the walk scores
             # as hits anyway, and leave the same final LRU contents.
-            mip0_i = np.ascontiguousarray(mip0_c, dtype=np.int64)
-            probes_i = np.ascontiguousarray(probes_c, dtype=np.int64)
-            mips_i = np.ascontiguousarray(mips_c, dtype=np.int64)
-            bucket = np.empty(max(int(probes_i.sum()), 1), dtype=np.int64)
             l0_config, l1_config = self.l0.config, self.l1.config
             with (
                 self.l0.kernel_state() as l0_state,
                 self.l1.kernel_state() as l1_state,
             ):
                 counts = _native.texcache(
-                    np.ascontiguousarray(u_c),
-                    np.ascontiguousarray(v_c),
-                    np.ascontiguousarray(du_c, dtype=np.float64),
-                    np.ascontiguousarray(dv_c, dtype=np.float64),
-                    mip0_i,
-                    probes_i,
-                    mips_i,
-                    max_probes,
+                    np.ascontiguousarray(u),
+                    np.ascontiguousarray(v),
+                    np.ascontiguousarray(major_du, dtype=np.float64),
+                    np.ascontiguousarray(major_dv, dtype=np.float64),
+                    np.ascontiguousarray(mip0, dtype=np.int64),
+                    np.ascontiguousarray(probes, dtype=np.float64),
+                    np.ascontiguousarray(mip_count, dtype=np.int64),
+                    np.ascontiguousarray(covered, dtype=np.bool_),
                     resource.levels - 1,
                     resource.width,
                     resource.height,
                     mip_offsets,
                     resource.base_address,
                     block_bytes,
-                    bucket,
                     l0_state,
                     (l0_config.sets, l0_config.ways),
                     l1_state,
@@ -389,6 +377,14 @@ class TextureUnit:
                         MemClient.TEXTURE, l1_misses * l1_config.line_bytes
                     )
                 return
+        max_probes = int(probes[covered].max())
+        u_c = u[covered]
+        v_c = v[covered]
+        mip0_c = mip0[covered]
+        probes_c = probes[covered]
+        mips_c = mip_count[covered]
+        du_c = major_du[covered]
+        dv_c = major_dv[covered]
         # The reference stream is probe-major: probe p of every lane that has
         # one (lane order), then probe p+1, ...  Materialize that (p, lane)
         # pair order once up front so every per-lane array is gathered a

@@ -254,9 +254,28 @@ class TestNativeMatchesNumpy:
             unit.memory.reads[MemClient.TEXTURE],
         )
 
+    def _call(self, units, name, filt, aniso, coords, coverage):
+        """One sampler call on both units; everything must still match."""
+        native, numpy_path = units
+        outputs = []
+        for unit, kernels in ((native, True), (numpy_path, False)):
+            unit.bind(0, name)
+            unit.set_filter(filt, aniso)
+            unit.set_coverage(coverage)
+            if kernels:
+                outputs.append(unit(0, coords))
+            else:
+                with mock.patch.object(_native, "available", return_value=False):
+                    outputs.append(unit(0, coords))
+        assert outputs[0].tobytes() == outputs[1].tobytes()
+        assert self._state(native) == self._state(numpy_path)
+        for a, b in ((native.l0, numpy_path.l0), (native.l1, numpy_path.l1)):
+            for x, y in zip(_exported(a), _exported(b)):
+                assert np.array_equal(x, y)
+
     def _drive(self, seed, l0, l1, calls):
         rng = np.random.default_rng(seed)
-        native, numpy_path = self._units(rng, l0, l1)
+        units = self._units(rng, l0, l1)
         for _ in range(calls):
             name = f"t{int(rng.integers(len(self.EXTENTS)))}"
             filt = self.FILTERS[int(rng.integers(3))]
@@ -264,22 +283,8 @@ class TestNativeMatchesNumpy:
             quads = int(rng.integers(1, 65))
             coords = self._coords(rng, quads)
             coverage = rng.random(quads * 4) < rng.uniform(0.0, 1.0)
-            outputs = []
-            for unit, kernels in ((native, True), (numpy_path, False)):
-                unit.bind(0, name)
-                unit.set_filter(filt, aniso)
-                unit.set_coverage(coverage)
-                if kernels:
-                    outputs.append(unit(0, coords))
-                else:
-                    with mock.patch.object(_native, "available", return_value=False):
-                        outputs.append(unit(0, coords))
-            assert outputs[0].tobytes() == outputs[1].tobytes()
-            assert self._state(native) == self._state(numpy_path)
-            for a, b in ((native.l0, numpy_path.l0), (native.l1, numpy_path.l1)):
-                for x, y in zip(_exported(a), _exported(b)):
-                    assert np.array_equal(x, y)
-        return native
+            self._call(units, name, filt, aniso, coords, coverage)
+        return units[0]
 
     @pytest.mark.parametrize("seed", range(16))
     def test_random_draws_on_thrashing_geometries(self, seed):
@@ -318,3 +323,121 @@ class TestNativeMatchesNumpy:
         touching state and the numpy walk runs instead, with equal results."""
         self._drive(7, CacheConfig(4 * 64, 64, 4, "texture_l0"),
                     CacheConfig(1025 * 4 * 64, 64, 4, "texture_l1"), calls=3)
+
+    def _defaults(self, seed):
+        config = GpuConfig()
+        return self._units(
+            np.random.default_rng(seed), config.texture_l0, config.texture_l1
+        )
+
+    @pytest.mark.parametrize(
+        "texel",
+        [2.0**63, 1e19, -1e19, 1e300, -1e300, -(2.0**63), 2.0**62, -5e18,
+         1e17, 3.7e15],
+    )
+    def test_far_out_coordinates(self, texel):
+        """From |u| = 2^63 on the int64 texel index overflows; the kernel's
+        bilinear weights must still come from that index, as numpy's do."""
+        units = self._defaults(11)
+        for name, (h, w) in (("t1", self.EXTENTS[1]), ("t5", self.EXTENTS[5])):
+            coords = np.zeros((8, 4))
+            coords[:, 0] = texel / w
+            coords[:4, 1] = texel / h
+            coords[4:, 1] = np.array([0.5, 0.5, 1.5, 1.5]) / h
+            coords[:, 3] = 1.0
+            for filt in self.FILTERS:
+                with np.errstate(all="ignore"):
+                    self._call(units, name, filt, 16, coords, None)
+
+    @pytest.mark.parametrize("filt", FILTERS)
+    def test_every_reference_repeats_one_line(self, filt):
+        """Covered lanes all sample texel (1.5, 1.5) with no footprint: both
+        corners fall in block 0, so after the first miss every reference
+        repeats the line just walked."""
+        units = self._defaults(3)
+        coords = np.zeros((64, 4))
+        coords[:, :2] = 1.5 / 16
+        coords[:, 3] = 1.0
+        coverage = np.arange(64) % 3 != 0
+        self._call(units, "t1", filt, 16, coords, coverage)
+        native = units[0]
+        assert native.l0.accesses == 2 * int(coverage.sum())
+        assert native.l0.misses == 1 and native.l1.accesses == 1
+
+    def test_probe_buckets_mix_one_and_two_mip_lanes(self):
+        """Quads from magnified (one mip) to minified between levels (two
+        mips) at anisotropy 1 to 8, so each probe's step-1 buffers are
+        shorter than its step-0 buffers and probe counts differ by lane."""
+        units = self._defaults(4)
+        # (texels per pixel along x, along y) of each quad on t7 (256x256).
+        steps = [(1, 1), (3, 3), (0.5, 0.5), (11, 3), (2.5, 19), (1, 7.5), (6, 6)]
+        coords = np.concatenate([
+            quad_coords(0.1 + 0.1 * k, 0.3, sx / 256, sy / 256)
+            for k, (sx, sy) in enumerate(steps)
+        ])
+        native = units[0]
+        native.set_filter(TextureFilter.ANISOTROPIC, 16)
+        tex = native._resources["t7"]
+        lod, ratio, _, _ = native._footprint(
+            coords[:, 0] * 256, coords[:, 1] * 256, tex
+        )
+        two = (lod > 0) & (np.floor(lod) < tex.levels - 1)
+        assert two.any() and not two.all()
+        assert len(set(ratio[two])) > 1 and len(set(ratio[~two])) > 1
+        self._call(units, "t7", TextureFilter.ANISOTROPIC, 16, coords, None)
+
+    def test_zero_and_one_covered_lanes(self):
+        units = self._defaults(6)
+        coords = self._coords(np.random.default_rng(7), 8)
+        for lanes in (0, 1):
+            coverage = np.zeros(32, dtype=bool)
+            coverage[13 : 13 + lanes] = True
+            for filt in self.FILTERS:
+                self._call(units, "t6", filt, 16, coords, coverage)
+        assert units[0].l0.accesses > 0
+
+    def test_kernel_refuses_without_touching_state(self):
+        """A covered lane whose level falls outside the per-level table
+        (mip0 < 0) or that takes 65 probes makes texcache return None with
+        both state triples byte-identical; uncovered, the same lane is never
+        read, and with no lane covered nothing is emitted."""
+        unit = self._defaults(8)[0]
+        unit.bind(0, "t7")
+        unit.set_filter(TextureFilter.ANISOTROPIC, 16)
+        unit(0, self._coords(np.random.default_rng(9), 64))
+        tex = unit._resources["t7"]
+        rng = np.random.default_rng(10)
+        n = 16
+        lanes = {
+            "u": rng.uniform(0, 256, n), "v": rng.uniform(0, 256, n),
+            "du": rng.uniform(-4, 4, n), "dv": rng.uniform(-4, 4, n),
+            "mip0": np.zeros(n, dtype=np.int64), "probes": np.ones(n),
+            "mips": np.ones(n, dtype=np.int64),
+        }
+
+        def run(covered, **override):
+            args = {**lanes, **override}
+            states = (_exported(unit.l0), _exported(unit.l1))
+            before = [x.tobytes() for state in states for x in state]
+            counts = _native.texcache(
+                args["u"], args["v"], args["du"], args["dv"],
+                args["mip0"], args["probes"], args["mips"], covered,
+                tex.levels - 1, tex.width, tex.height,
+                np.asarray(tex.mip_block_offsets(), dtype=np.int64),
+                tex.base_address, tex.format.block_bytes,
+                states[0], (unit.l0.config.sets, unit.l0.config.ways),
+                states[1], (unit.l1.config.sets, unit.l1.config.ways),
+                unit.l1.config.line_bytes,
+            )
+            unchanged = before == [x.tobytes() for state in states for x in state]
+            return counts, unchanged
+
+        for key, value in (("mip0", -1), ("probes", 65.0)):
+            bad = lanes[key].copy()
+            bad[5] = value
+            covered = np.ones(n, dtype=bool)
+            assert run(covered, **{key: bad}) == (None, True)
+            covered[5] = False
+            counts, _ = run(covered, **{key: bad})
+            assert counts is not None and counts[0] == 2 * (n - 1)
+        assert run(np.zeros(n, dtype=bool)) == ((0, 0, 0, 0, 0), True)

@@ -162,6 +162,17 @@ class TestPipelineBasics:
 
         assert np.allclose(render(["quad", "near"]), render(["near", "quad"]))
 
+    def test_config_is_read_only(self):
+        """Every stage keeps the config it was built with, so a new one
+        assigned afterwards would switch only some fields: assigning fails."""
+        mesh, vp, fp, tex = simple_scene()
+        config = GpuConfig(width=W, height=H)
+        other = GpuConfig(width=W, height=H, hz_min_max=True)
+        sim = GpuSimulator(config, {"quad": mesh}, {"vp": vp, "fp": fp}, [tex])
+        with pytest.raises(AttributeError):
+            sim.config = other
+        assert sim.config is config
+
     def test_occluded_draw_consumes_no_shading(self):
         mesh, vp, fp, tex = simple_scene()
         sim = GpuSimulator(
